@@ -6,8 +6,11 @@
 #include "sat/proof_check.hpp"
 #include "sat/backend.hpp"
 
+#include <algorithm>
+#include <array>
 #include <cassert>
 #include <memory>
+#include <span>
 #include <vector>
 
 namespace bestagon::logic
@@ -292,12 +295,90 @@ std::optional<LogicNetwork> exact_synthesize(const TruthTable& f, unsigned max_g
     return std::nullopt;
 }
 
+namespace
+{
+
+/// A non-PI node of a table entry; fanins are node ids, unused ones 0.
+struct NpnDbNode
+{
+    GateType type;
+    std::uint8_t fanin0;
+    std::uint8_t fanin1;
+};
+
+/// One NPN class: its canonical truth table and the nodes after the PIs, in
+/// creation order, ending with the PO; unused slots have type none.
+struct NpnDbEntry
+{
+    std::uint8_t num_vars;
+    std::uint16_t function;
+    NpnDbNode nodes[16];
+};
+
+/// Table order: by input count, then by canonical truth table.
+constexpr std::uint32_t sort_key(unsigned num_vars, std::uint64_t function) noexcept
+{
+    return static_cast<std::uint32_t>((num_vars << 16U) | function);
+}
+
+std::span<const NpnDbEntry> npn_db_table() noexcept
+{
+    using enum GateType;
+    static constexpr NpnDbEntry table[] = {
+#include "logic/npn_db.inc"
+    };
+    return table;
+}
+
+/// Replays an entry into the network exact_synthesize built for it.
+LogicNetwork decode(const NpnDbEntry& entry)
+{
+    // exact_synthesize names its PIs x0, x1, ..; entries have at most 4
+    constexpr std::array<const char*, 4> pi_names{"x0", "x1", "x2", "x3"};
+    LogicNetwork net;
+    for (unsigned i = 0; i < entry.num_vars; ++i)
+    {
+        net.create_pi(pi_names.at(i));
+    }
+    for (const auto& node : entry.nodes)
+    {
+        switch (node.type)
+        {
+            case GateType::none: return net;
+            case GateType::const0:
+            case GateType::const1: net.create_const(node.type == GateType::const1); break;
+            case GateType::po: net.create_po(node.fanin0, "f"); break;
+            default:
+            {
+                std::vector<LogicNetwork::NodeId> fanins{node.fanin0, node.fanin1};
+                fanins.resize(gate_arity(node.type));
+                net.create_gate(node.type, fanins);
+            }
+        }
+    }
+    return net;
+}
+
+}  // namespace
+
 const LogicNetwork* NpnDatabase::lookup(const TruthTable& canonical)
 {
     auto it = cache_.find(canonical);
     if (it == cache_.end())
     {
-        auto impl = exact_synthesize(canonical, max_gates_, conflict_budget_);
+        std::optional<LogicNetwork> impl;
+        if (canonical.num_vars() <= 4)
+        {
+            const auto key = sort_key(canonical.num_vars(), canonical.words()[0]);
+            const auto table = npn_db_table();
+            const auto entry = std::lower_bound(
+                table.begin(), table.end(), key,
+                [](const NpnDbEntry& e, std::uint32_t k) { return sort_key(e.num_vars, e.function) < k; });
+            if (entry != table.end() && sort_key(entry->num_vars, entry->function) == key)
+            {
+                impl = decode(*entry);
+            }
+        }
         if (!impl)
         {
             ++failures_;
@@ -306,6 +387,8 @@ const LogicNetwork* NpnDatabase::lookup(const TruthTable& canonical)
     }
     return it->second ? &*it->second : nullptr;
 }
+
+std::size_t NpnDatabase::table_size() noexcept { return npn_db_table().size(); }
 
 std::size_t count_two_input_gates(const LogicNetwork& network)
 {

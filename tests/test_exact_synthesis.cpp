@@ -1,8 +1,10 @@
 #include "logic/exact_synthesis.hpp"
+#include "logic/npn.hpp"
 
 #include <gtest/gtest.h>
 
 #include <random>
+#include <set>
 
 namespace
 {
@@ -114,7 +116,8 @@ TEST(ExactSynthesis, RandomFunctionsAreRealizedCorrectly)
 TEST(NpnDatabase, CachesResults)
 {
     NpnDatabase db;
-    const auto canon = TruthTable::from_binary("1000");
+    // the AND class, looked up by its canonical representative
+    const auto canon = canonize_npn(TruthTable::from_binary("1000")).canonical;
     const auto* first = db.lookup(canon);
     ASSERT_NE(first, nullptr);
     const auto* second = db.lookup(canon);
@@ -128,6 +131,53 @@ TEST(NpnDatabase, ImplementationsAreMinimal)
     const auto* impl = db.lookup(TruthTable::from_binary("0110"));
     ASSERT_NE(impl, nullptr);
     EXPECT_EQ(count_two_input_gates(*impl), 1U);
+}
+
+TEST(NpnDatabase, ServesOnlyCanonicalRepresentatives)
+{
+    // "1000" (AND) is not its class's representative: the table does not
+    // hold it, and nothing synthesizes it on the fly
+    NpnDatabase db;
+    EXPECT_EQ(db.lookup(TruthTable::from_binary("1000")), nullptr);
+    EXPECT_EQ(db.lookup(TruthTable{5}), nullptr);
+    EXPECT_EQ(db.num_entries(), 2U);
+    EXPECT_EQ(db.num_synthesis_failures(), 2U);
+}
+
+/// Every table entry: one per NPN class of 2..4 inputs (4 / 14 / 222), each
+/// simulating to its canonical function with at most 7 two-input gates.
+TEST(NpnDatabase, TableCoversEveryClassCorrectly)
+{
+    NpnDatabase db;
+    std::size_t served = 0;
+    for (unsigned n = 2; n <= 4; ++n)
+    {
+        std::set<std::uint64_t> classes;
+        for (std::uint32_t bits = 0; bits < (1U << (1U << n)); ++bits)
+        {
+            TruthTable f{n};
+            for (std::uint64_t t = 0; t < f.num_bits(); ++t)
+            {
+                f.set_bit(t, ((bits >> t) & 1U) != 0);
+            }
+            const auto canon = canonize_npn(f).canonical;
+            if (!classes.insert(canon.words()[0]).second)
+            {
+                continue;
+            }
+            const auto* impl = db.lookup(canon);
+            ASSERT_NE(impl, nullptr) << n << " inputs, " << canon.to_hex();
+            ASSERT_EQ(impl->num_pis(), n);
+            ASSERT_EQ(impl->num_pos(), 1U);
+            EXPECT_EQ(impl->simulate()[0], canon) << canon.to_hex();
+            EXPECT_LE(count_two_input_gates(*impl), 7U) << canon.to_hex();
+            ++served;
+        }
+        EXPECT_EQ(classes.size(), n == 2 ? 4U : n == 3 ? 14U : 222U);
+    }
+    EXPECT_EQ(served, 240U);
+    EXPECT_EQ(NpnDatabase::table_size(), served);  // no entry left unchecked
+    EXPECT_EQ(db.num_synthesis_failures(), 0U);
 }
 
 }  // namespace

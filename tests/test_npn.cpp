@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
 #include <random>
 #include <unordered_set>
 
@@ -18,6 +20,67 @@ TruthTable random_tt(unsigned n, std::mt19937& rng)
         f.set_bit(t, (rng() & 1U) != 0);
     }
     return f;
+}
+
+TruthTable tt_from_bits(unsigned n, std::uint32_t bits)
+{
+    TruthTable f{n};
+    for (std::uint64_t t = 0; t < f.num_bits(); ++t)
+    {
+        f.set_bit(t, ((bits >> t) & 1U) != 0);
+    }
+    return f;
+}
+
+/// The enumeration-order reference: every (perm, flips, output) transform in
+/// the order next_permutation x flips x output, each candidate rebuilt with
+/// apply_npn_transform, the first strict minimum under compare() kept.
+NpnCanonization reference_canonize(const TruthTable& f)
+{
+    const unsigned n = f.num_vars();
+    std::vector<unsigned> perm(n);
+    std::iota(perm.begin(), perm.end(), 0U);
+    bool first = true;
+    TruthTable best{n};
+    NpnTransform best_forward;
+    do
+    {
+        for (unsigned flips = 0; flips < (1U << n); ++flips)
+        {
+            for (unsigned out = 0; out < 2; ++out)
+            {
+                const NpnTransform t{perm, flips, out != 0};
+                const auto candidate = apply_npn_transform(f, t);
+                if (first || candidate.compare(best) < 0)
+                {
+                    first = false;
+                    best = candidate;
+                    best_forward = t;
+                }
+            }
+        }
+    } while (std::next_permutation(perm.begin(), perm.end()));
+
+    NpnTransform inverse{std::vector<unsigned>(n), 0, best_forward.output_negated};
+    for (unsigned i = 0; i < n; ++i)
+    {
+        inverse.perm[best_forward.perm[i]] = i;
+        if ((best_forward.input_flips >> i) & 1U)
+        {
+            inverse.input_flips |= 1U << best_forward.perm[i];
+        }
+    }
+    return {best, inverse};
+}
+
+void expect_matches_reference(const TruthTable& f)
+{
+    const auto got = canonize_npn(f);
+    const auto want = reference_canonize(f);
+    EXPECT_EQ(got.canonical, want.canonical) << f.to_hex();
+    EXPECT_EQ(got.transform.perm, want.transform.perm) << f.to_hex();
+    EXPECT_EQ(got.transform.input_flips, want.transform.input_flips) << f.to_hex();
+    EXPECT_EQ(got.transform.output_negated, want.transform.output_negated) << f.to_hex();
 }
 
 /// Property: the stored transform maps the canonical form back to f.
@@ -98,6 +161,45 @@ TEST(Npn, ThreeVariableClassCount)
         classes.insert(canonize_npn(f).canonical.to_binary());
     }
     EXPECT_EQ(classes.size(), 14U);
+}
+
+TEST(Npn, FourVariableClassCount)
+{
+    // there are exactly 222 NPN classes of 4-variable functions
+    std::unordered_set<std::uint64_t> classes;
+    for (std::uint32_t bits = 0; bits < (1U << 16); ++bits)
+    {
+        classes.insert(canonize_npn(tt_from_bits(4, bits)).canonical.words()[0]);
+    }
+    EXPECT_EQ(classes.size(), 222U);
+}
+
+TEST(Npn, FourVariableRoundTripIsExhaustive)
+{
+    for (std::uint32_t bits = 0; bits < (1U << 16); ++bits)
+    {
+        const auto f = tt_from_bits(4, bits);
+        const auto canon = canonize_npn(f);
+        ASSERT_EQ(apply_npn_transform(canon.canonical, canon.transform), f) << f.to_hex();
+    }
+}
+
+TEST(Npn, MatchesEnumerationOrderReference)
+{
+    // bit-identical canonical AND transform, not just the same class: the
+    // rewriter's output depends on which of several minimizing transforms wins
+    for (unsigned n = 0; n <= 3; ++n)
+    {
+        for (std::uint32_t bits = 0; bits < (1U << (1U << n)); ++bits)
+        {
+            expect_matches_reference(tt_from_bits(n, bits));
+        }
+    }
+    std::mt19937 rng{0x4e504e};
+    for (int iter = 0; iter < 1000; ++iter)
+    {
+        expect_matches_reference(tt_from_bits(4, rng() & 0xFFFFU));
+    }
 }
 
 TEST(Npn, RejectsTooManyVariables)
