@@ -14,6 +14,11 @@
 ///     1 (the default-engine switch moves no verdicts).
 ///  3. GroundStateQuickSim/SimAnneal — heuristic engines at production
 ///     effort, for the cost picture when an inexact answer is acceptable.
+///  4. CheckOperationalCrossing — the production check_operational on the
+///     32-site crossing tile, the long pole of flow step (7b). `nodes` is
+///     the exact engine's branch-and-bound node count summed over the four
+///     input patterns; `operational` records the verdict (0: the crossing
+///     tile checks non-operational at the paper's parameters).
 
 #include "layout/bestagon_library.hpp"
 #include "phys/exhaustive.hpp"
@@ -156,6 +161,28 @@ void BM_CheckOperationalExhaustive(benchmark::State& state)
     state.counters["operational"] = ok ? 1.0 : 0.0;
 }
 
+void BM_CheckOperationalCrossing(benchmark::State& state)
+{
+    const auto& design = layout::BestagonLibrary::instance().crossing().design;
+    SimulationParameters params;
+    params.num_threads = 1;
+    bool ok = false;
+    std::uint64_t nodes = 0;
+    for (auto _ : state)
+    {
+        const auto result = check_operational(design, params);
+        ok = result.operational;
+        nodes = 0;
+        for (const auto& pattern : result.details)
+        {
+            nodes += pattern.ground_state.nodes;
+        }
+        benchmark::DoNotOptimize(result);
+    }
+    state.counters["operational"] = ok ? 1.0 : 0.0;
+    state.counters["nodes"] = static_cast<double>(nodes);
+}
+
 }  // namespace
 
 BENCHMARK(BM_GroundStateExhaustive)->Arg(12)->Arg(20)->Arg(28)->ArgName("sites")
@@ -168,3 +195,4 @@ BENCHMARK(BM_GroundStateQuickSim)->Arg(20)->Arg(40)->ArgName("sites")
     ->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_CheckOperationalDefaultExact)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_CheckOperationalExhaustive)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_CheckOperationalCrossing)->Unit(benchmark::kMillisecond);

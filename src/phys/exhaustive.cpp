@@ -25,6 +25,7 @@ struct SearchState
     ChargeConfig best_config;
     std::uint64_t degeneracy;
     double tolerance;
+    double stability_tolerance;       // the leaf check's population threshold
     const core::RunBudget* run;
     std::uint64_t nodes;
     bool stopped;
@@ -40,7 +41,8 @@ void recurse(SearchState& s, std::size_t index)
     {
         return;
     }
-    if (s.run->limited() && (++s.nodes & 4095U) == 0 && s.run->stopped())
+    ++s.nodes;
+    if (s.run->limited() && (s.nodes & 4095U) == 0 && s.run->stopped())
     {
         s.stopped = true;
         return;
@@ -87,11 +89,14 @@ void recurse(SearchState& s, std::size_t index)
         const double delta = s.mu + s.kernel.local_potential(index);
         s.kernel.commit_flip(index);  // neutral -> negative, O(n) row update
         s.partial_f += delta;
-        // check partial population stability of assigned negative sites
+        // check partial population stability of assigned negative sites,
+        // against the leaf check's own threshold: a tighter one would prune
+        // configurations population_stable() accepts
         bool viable = true;
         for (std::size_t j = 0; j <= index; ++j)
         {
-            if (s.kernel.charge(j) != 0 && s.mu + s.kernel.local_potential(j) > 1e-12)
+            if (s.kernel.charge(j) != 0 &&
+                s.mu + s.kernel.local_potential(j) > s.stability_tolerance)
             {
                 viable = false;
                 break;
@@ -123,6 +128,7 @@ GroundStateResult exhaustive_ground_state(const SiDBSystem& system, double degen
     s.best_f = std::numeric_limits<double>::infinity();
     s.degeneracy = 0;
     s.tolerance = degeneracy_tolerance;
+    s.stability_tolerance = system.parameters().stability_tolerance;
     s.run = &run;
     s.nodes = 0;
     s.stopped = false;
@@ -148,6 +154,7 @@ GroundStateResult exhaustive_ground_state(const SiDBSystem& system, double degen
         s.best_config.empty() ? s.best_f : system.grand_potential(s.best_config);
     result.electrostatic = s.best_config.empty() ? 0.0 : system.electrostatic_energy(s.best_config);
     result.degeneracy = std::max<std::uint64_t>(1, s.degeneracy);
+    result.nodes = s.nodes;
     result.complete = !s.stopped;
     result.cancelled = s.stopped;
     return result;

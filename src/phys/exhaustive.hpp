@@ -14,8 +14,9 @@ namespace bestagon::phys
 /// branch-and-bound search over all 2^N two-state configurations.
 ///
 /// Pruning exploits the monotonicity of local potentials: (1) a partial
-/// configuration in which an already-negative site violates mu + v_i <= 0
-/// can never become population stable, and (2) the optimistic completion
+/// configuration in which an already-negative site violates
+/// mu + v_i <= stability_tolerance (the leaf check's own threshold) can
+/// never become population stable, and (2) the optimistic completion
 /// bound F_partial + sum_unassigned min(0, mu + v_i) never overestimates.
 ///
 /// Practical up to roughly 40 sites for gate-sized structures.

@@ -174,8 +174,34 @@ PopulationWindow compute_population_window(const SiDBSystem& system)
 namespace
 {
 
+// Slack (eV) of the neutral-reachability gate against floating-point drift:
+// the kernel's cached v_i may drift by ulps across branch/unwind pairs
+// (pinned below 1e-12 by the charge_state_differential oracle) and the reach
+// sums round differently from the leaf's incremental ones. Two orders of
+// magnitude above that drift, an order below the default stability
+// tolerance — physically it is nothing.
+constexpr double reach_slack = 1e-10;
+
+/// Suffix table of the largest potential the still-unassigned sites can add
+/// to each site: row j, column k holds sum_{i >= k, i != j} max(0, V_ji),
+/// column n is 0. Row-major n x (n + 1).
+std::vector<double> compute_neutral_reach(const SiDBSystem& system)
+{
+    const std::size_t n = system.size();
+    std::vector<double> reach(n * (n + 1), 0.0);
+    for (std::size_t j = 0; j < n; ++j)
+    {
+        double* row = &reach[j * (n + 1)];
+        for (std::size_t k = n; k-- > 0;)
+        {
+            row[k] = row[k + 1] + (k == j ? 0.0 : std::max(0.0, system.potential(j, k)));
+        }
+    }
+    return reach;
+}
+
 // The search state is the exhaustive engine's verbatim, plus the
-// precomputed population window its three extra gates read.
+// precomputed population window and reach table its extra gates read.
 struct SearchState
 {
     const SiDBSystem* system;
@@ -187,7 +213,9 @@ struct SearchState
     ChargeConfig best_config;
     std::uint64_t degeneracy;
     double tolerance;
+    double stability_tolerance;
     const PopulationWindow* window;
+    const double* reach;  // compute_neutral_reach, row stride n + 1
     const core::RunBudget* run;
     std::uint64_t nodes;
     bool stopped;
@@ -195,15 +223,48 @@ struct SearchState
     explicit SearchState(const SiDBSystem& sys) : kernel{sys} {}
 };
 
+/// One pass over the assigned prefix [0, index): false when a leaf below can
+/// no longer be population stable. A negative site already above E_F stays
+/// there (v only grows) — the exhaustive engine's viability test. A neutral
+/// site still below E_F with every remaining site charged stays below it —
+/// the neutral-reachability gate.
+bool assigned_prefix_viable(const SearchState& s, std::size_t index)
+{
+    const double neutral_floor = -(s.stability_tolerance + reach_slack);
+    for (std::size_t j = 0; j < index; ++j)
+    {
+        const double level = s.mu + s.kernel.local_potential(j);
+        if (s.kernel.charge(j) != 0)
+        {
+            if (level > s.stability_tolerance)
+            {
+                return false;
+            }
+        }
+        else if (level + s.reach[j * (s.n + 1) + index] < neutral_floor)
+        {
+            return false;
+        }
+    }
+    return true;
+}
+
 void recurse(SearchState& s, std::size_t index)
 {
     if (s.stopped)
     {
         return;
     }
-    if (s.run->limited() && (++s.nodes & 4095U) == 0 && s.run->stopped())
+    ++s.nodes;
+    if (s.run->limited() && (s.nodes & 4095U) == 0 && s.run->stopped())
     {
         s.stopped = true;
+        return;
+    }
+    // viability + neutral reachability (read-only, no float effect); at a
+    // leaf this is an O(n) pre-filter of the O(n^2) validity check
+    if (!assigned_prefix_viable(s, index))
+    {
         return;
     }
     if (index == s.n)
@@ -248,27 +309,16 @@ void recurse(SearchState& s, std::size_t index)
 
     // branch: negative first, gated on the window — a forced-neutral site is
     // never charged, and the population never exceeds the window's maximum.
-    // On surviving branches the commit/viability/unwind sequence replays the
-    // exhaustive engine's floating-point operations exactly.
+    // On surviving branches the commit/unwind sequence replays the
+    // exhaustive engine's floating-point operations exactly; the child's
+    // prefix scan is the exhaustive engine's viability test.
     if (s.window->status[index] != site_forced_neutral &&
         s.kernel.num_charges() < s.window->max_charges)
     {
         const double delta = s.mu + s.kernel.local_potential(index);
         s.kernel.commit_flip(index);
         s.partial_f += delta;
-        bool viable = true;
-        for (std::size_t j = 0; j <= index; ++j)
-        {
-            if (s.kernel.charge(j) != 0 && s.mu + s.kernel.local_potential(j) > 1e-12)
-            {
-                viable = false;
-                break;
-            }
-        }
-        if (viable)
-        {
-            recurse(s, index + 1);
-        }
+        recurse(s, index + 1);
         s.kernel.commit_flip(index);
         s.partial_f -= delta;
     }
@@ -280,9 +330,9 @@ void recurse(SearchState& s, std::size_t index)
     }
 }
 
-GroundStateResult search_with_window(const SiDBSystem& system, double degeneracy_tolerance,
-                                     const PopulationWindow& window, bool seed_from_quench,
-                                     const core::RunBudget& run)
+GroundStateResult search(const SiDBSystem& system, double degeneracy_tolerance,
+                         const PopulationWindow& window, const std::vector<double>& reach,
+                         bool seed_from_quench, const core::RunBudget& run)
 {
     const std::size_t n = system.size();
     SearchState s{system};
@@ -293,16 +343,18 @@ GroundStateResult search_with_window(const SiDBSystem& system, double degeneracy
     s.best_f = std::numeric_limits<double>::infinity();
     s.degeneracy = 0;
     s.tolerance = degeneracy_tolerance;
+    s.stability_tolerance = system.parameters().stability_tolerance;
     s.window = &window;
+    s.reach = reach.data();
     s.run = &run;
     s.nodes = 0;
     s.stopped = false;
 
     // seed with a quenched all-negative start — the exhaustive engine's
-    // seeding verbatim (the quenched seed is population stable, so the
-    // window gates never exclude it and the recursion re-encounters it).
-    // The testkit's wrong-window runs skip the seeding: it could silently
-    // hand the search the very ground state the mutant window prunes.
+    // seeding verbatim (the quenched seed is population stable, so no gate
+    // excludes it and the recursion re-encounters it). The testkit's
+    // mutant runs skip the seeding: it could silently hand the search the
+    // very ground state the mutant gate prunes.
     if (seed_from_quench)
     {
         ChargeConfig seed(n, 1);
@@ -324,6 +376,7 @@ GroundStateResult search_with_window(const SiDBSystem& system, double degeneracy
         s.best_config.empty() ? s.best_f : system.grand_potential(s.best_config);
     result.electrostatic = s.best_config.empty() ? 0.0 : system.electrostatic_energy(s.best_config);
     result.degeneracy = std::max<std::uint64_t>(1, s.degeneracy);
+    result.nodes = s.nodes;
     result.complete = !s.stopped;
     result.cancelled = s.stopped;
     return result;
@@ -334,8 +387,8 @@ GroundStateResult search_with_window(const SiDBSystem& system, double degeneracy
 GroundStateResult exact_ground_state(const SiDBSystem& system, double degeneracy_tolerance,
                                      const core::RunBudget& run)
 {
-    return search_with_window(system, degeneracy_tolerance, compute_population_window(system), true,
-                              run);
+    return search(system, degeneracy_tolerance, compute_population_window(system),
+                  compute_neutral_reach(system), true, run);
 }
 
 GroundStateResult exact_ground_state(const SiDBSystem& system, const core::RunBudget& run)
@@ -348,7 +401,27 @@ GroundStateResult testkit_exact_ground_state_with_window(const SiDBSystem& syste
                                                          const PopulationWindow& window,
                                                          const core::RunBudget& run)
 {
-    return search_with_window(system, degeneracy_tolerance, window, false, run);
+    return search(system, degeneracy_tolerance, window, compute_neutral_reach(system), false, run);
+}
+
+GroundStateResult testkit_exact_ground_state_with_overreach(const SiDBSystem& system,
+                                                            double degeneracy_tolerance,
+                                                            const core::RunBudget& run)
+{
+    // shift every row one site left: column k then omits site k's own
+    // contribution, so the gate under-estimates what the remaining sites
+    // can add and prunes neutral sites that site k would have lifted
+    const std::size_t n = system.size();
+    auto reach = compute_neutral_reach(system);
+    // bestagon-lint: no-poll-ok(O(n^2) copy that builds the mutant table before the search; the search itself polls the budget)
+    for (std::size_t j = 0; j < n; ++j)
+    {
+        std::copy(reach.begin() + static_cast<std::ptrdiff_t>(j * (n + 1) + 1),
+                  reach.begin() + static_cast<std::ptrdiff_t>((j + 1) * (n + 1)),
+                  reach.begin() + static_cast<std::ptrdiff_t>(j * (n + 1)));
+    }
+    return search(system, degeneracy_tolerance, compute_population_window(system), reach, false,
+                  run);
 }
 
 }  // namespace bestagon::phys

@@ -24,15 +24,33 @@
 ///
 /// The search itself is the exhaustive engine's branch-and-bound verbatim —
 /// same site order, same seeding, same floating-point operation sequence on
-/// every surviving branch, same leaf discipline — with three additional
-/// gates that only ever remove population-UNSTABLE subtrees: the negative
-/// branch is skipped on forced_neut sites and when max_charges is reached,
-/// the neutral branch is skipped on forced_neg sites, and a subtree is
-/// abandoned when even charging every remaining site cannot reach
-/// min_charges. Configurations in pruned subtrees always fail the leaf
-/// validity check, so the results (ground state, energy, degeneracy) are
-/// bit-identical to `exhaustive_ground_state` — just reached exponentially
-/// faster.
+/// every surviving branch, same leaf discipline — with four additional
+/// gates that only ever remove population-UNSTABLE subtrees:
+///
+///  1. the negative branch is skipped on forced_neut sites and once
+///     max_charges is reached;
+///  2. the neutral branch is skipped on forced_neg sites;
+///  3. a subtree is abandoned when even charging every remaining site
+///     cannot reach min_charges;
+///  4. **neutral reachability** (dynamic, checked at every node): a site j
+///     already assigned neutral whose level stays below E_F even if every
+///     still-unassigned site were charged,
+///
+///         mu + v_j + reach[j][index] < -(stability_tolerance + slack),
+///         reach[j][k] = sum_{i >= k, i != j} max(0, V_ji)   (precomputed once),
+///
+///     violates population stability in every leaf below, so the subtree is
+///     abandoned. Sound because v_j at any leaf is at most the current v_j
+///     plus reach[j][index]; the slack (1e-10 eV) covers the ulp-level drift
+///     of the kernel's cached potentials. The gate shares one O(index) pass
+///     over the assigned prefix with the exhaustive engine's viability test
+///     (a negative site already above E_F).
+///
+/// Configurations in pruned subtrees always fail the leaf validity check,
+/// so the results (ground state, energy, degeneracy) are bit-identical to
+/// `exhaustive_ground_state` — just reached exponentially faster. Gate 4 is
+/// what makes the 32-site crossing tile cheap: ~3.3 M nodes per input
+/// pattern with gates 1-3 alone, ~88 k with it.
 
 #pragma once
 
@@ -97,5 +115,14 @@ inline constexpr std::uint8_t site_forced_neutral = 2;
 testkit_exact_ground_state_with_window(const SiDBSystem& system, double degeneracy_tolerance,
                                        const PopulationWindow& window,
                                        const core::RunBudget& run = {});
+
+/// **Testkit-only fault hook**: runs the search with a neutral-reach table
+/// shifted by one site (column k omits site k itself), which makes gate 4
+/// unsound, and without the quenched-seed bound (see above). The
+/// `overreach_neutral_prune` mutant; the differential oracle proves the
+/// fault is detected. Production code must never call this.
+[[nodiscard]] GroundStateResult
+testkit_exact_ground_state_with_overreach(const SiDBSystem& system, double degeneracy_tolerance,
+                                          const core::RunBudget& run = {});
 
 }  // namespace bestagon::phys

@@ -224,6 +224,10 @@ struct GroundStateResult
     /// *distinct* tying configurations their instances visited — a lower
     /// bound on the true degeneracy, never an exact count.
     std::uint64_t degeneracy{1};
+    /// Branch-and-bound nodes (partial assignments) the search entered:
+    /// a deterministic work count of the exact engines (exhaustive, exact),
+    /// identical across runs and thread counts; 0 for the heuristic engines.
+    std::uint64_t nodes{0};
     bool complete{false};          ///< true if the search space was covered exhaustively
     bool cancelled{false};         ///< the search was cut by a run budget (result is partial)
 };

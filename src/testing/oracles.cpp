@@ -418,6 +418,11 @@ OracleVerdict ground_state_differential(const std::vector<phys::SiDBSite>& canva
         exact = phys::testkit_exact_ground_state_with_window(
             system, system.parameters().energy_tolerance, window);
     }
+    else if (fault == GroundStateFault::overreach_neutral_prune)
+    {
+        exact = phys::testkit_exact_ground_state_with_overreach(
+            system, system.parameters().energy_tolerance);
+    }
     else
     {
         exact = phys::exact_ground_state(system);

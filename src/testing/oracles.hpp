@@ -114,7 +114,11 @@ enum class GroundStateFault : std::uint8_t
     /// Narrow the exact engine's population window so it prunes the true
     /// ground state — models an unsound bound derivation.
     shrink_exact_population_window,
-    corrupt_quicksim_config  ///< flip the charge of site 0 in quicksim's answer
+    corrupt_quicksim_config,  ///< flip the charge of site 0 in quicksim's answer
+    /// Run the exact engine with its neutral-reach table shifted by one site,
+    /// so the neutral-reachability gate prunes stable configurations —
+    /// models an off-by-one in the gate's bound.
+    overreach_neutral_prune
 };
 
 /// Runs all four ground-state engines on the canvas with the legacy

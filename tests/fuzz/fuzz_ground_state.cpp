@@ -60,7 +60,8 @@ TEST(FuzzGroundState, SparseCanvasesAtTheSecondCalibrationPoint)
 }
 
 /// Mutation coverage: corrupting a heuristic's configuration, the reference
-/// minimum, or the exact engine's population window must all be detected.
+/// minimum, the exact engine's population window or its neutral-reach table
+/// must all be detected.
 TEST(FuzzGroundState, OracleCatchesSeededMutations)
 {
     const std::vector<phys::SiDBSite> canvas{{0, 0, 0}, {4, 1, 0}, {8, 2, 1}};
@@ -88,6 +89,19 @@ TEST(FuzzGroundState, OracleCatchesSeededMutations)
         testkit::GroundStateFault::corrupt_quicksim_config);
     ASSERT_FALSE(quicksim.ok) << "oracle missed a corrupted quicksim configuration";
     EXPECT_NE(quicksim.detail.find("quicksim"), std::string::npos) << quicksim.detail;
+
+    // the canvas above charges every site, so a gate on neutral sites never
+    // fires there: a BDL pair pushed by a third dot leaves site 0 neutral in
+    // the ground state, held above E_F only by site 1 — the very term the
+    // shifted reach table drops
+    const std::vector<phys::SiDBSite> pair_canvas{{6, 0, 0}, {7, 0, 0}, {0, 0, 0}};
+    const auto overreach = testkit::ground_state_differential(
+        pair_canvas, sim_params, anneal_for_fuzzing(0xbad5eed), 1e-6,
+        testkit::GroundStateFault::overreach_neutral_prune);
+    ASSERT_FALSE(overreach.ok) << "oracle missed an unsound neutral-reachability gate";
+    EXPECT_NE(overreach.detail.find("exact engine found a different ground-state"),
+              std::string::npos)
+        << overreach.detail;
 }
 
 }  // namespace

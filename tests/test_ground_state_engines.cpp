@@ -6,9 +6,13 @@
 ///        engine-selection surface (SimulationParameters::engine /
 ///        find_ground_state). Structure mirrors test_charge_state.cpp:
 ///        edge cases first (n = 0, n = 1, forced populations, cancellation),
-///        then differential properties on random canvases.
+///        then differential properties on random canvases, then the
+///        production-traffic differential over every Bestagon library tile.
 
 #include "core/run_control.hpp"
+#include "layout/bestagon_library.hpp"
+#include "phys/defect.hpp"
+#include "phys/defect_sweep.hpp"
 #include "phys/exhaustive.hpp"
 #include "phys/ground_state.hpp"
 #include "phys/ground_state_exact.hpp"
@@ -255,6 +259,138 @@ TEST(ExactEngine, CompletesWhereExhaustiveExhaustsBudget)
     EXPECT_TRUE(exhaustive.cancelled);
     // the budgeted best-so-far never beats the certified minimum
     EXPECT_GE(exhaustive.grand_potential, exact.grand_potential - 1e-9);
+}
+
+/// Viability-threshold regression: a charged site is pruned only when the
+/// leaf check would reject it too. Two sites with V = |mu| + 5e-10 eV (mu
+/// calibrated to the pair's screened-Coulomb V) have three physically valid
+/// configurations (10, 01 and 11: the doubly charged pair sits 5e-10 eV
+/// above E_F, inside stability_tolerance = 1e-9) within the degeneracy
+/// window; a 1e-12 viability threshold pruned 11 and reported 2.
+TEST(ExactEngine, ViabilityPruneMatchesTheLeafTolerance)
+{
+    const std::vector<SiDBSite> pair{{0, 0, 0}, {1, 0, 0}};
+    SimulationParameters p;
+    p.mu_minus = -(SiDBSystem{pair, p}.potential(0, 1) - 5e-10);
+    const SiDBSystem sys{pair, p};
+
+    std::uint64_t valid = 0;
+    for (const ChargeConfig cfg : {ChargeConfig{0, 0}, ChargeConfig{1, 0}, ChargeConfig{0, 1},
+                                   ChargeConfig{1, 1}})
+    {
+        valid += sys.physically_valid(cfg) ? 1U : 0U;
+    }
+    ASSERT_EQ(valid, 3U);
+
+    const auto exhaustive = exhaustive_ground_state(sys);
+    const auto exact = exact_ground_state(sys);
+    EXPECT_EQ(exhaustive.degeneracy, 3U);
+    EXPECT_EQ(exact.degeneracy, 3U);
+    EXPECT_EQ(exact.config, exhaustive.config);
+    EXPECT_EQ(exact.grand_potential, exhaustive.grand_potential);
+}
+
+/// The work counter counts without a budget, deterministically, for both
+/// exact engines, and stays 0 for the heuristic ones.
+TEST(ExactEngine, NodeCountIsDeterministic)
+{
+    std::mt19937 rng{8080};
+    const SiDBSystem sys{random_sites(12, rng), SimulationParameters{}};
+    const auto exact = exact_ground_state(sys);
+    const auto exhaustive = exhaustive_ground_state(sys);
+    EXPECT_GT(exact.nodes, 0U);
+    EXPECT_GT(exhaustive.nodes, 0U);
+    EXPECT_EQ(exact_ground_state(sys).nodes, exact.nodes);
+    EXPECT_EQ(exhaustive_ground_state(sys).nodes, exhaustive.nodes);
+    // a limited budget that never fires leaves the count unchanged
+    const RunBudget generous{{}, Deadline::in_ms(600'000)};
+    EXPECT_EQ(exact_ground_state(sys, generous).nodes, exact.nodes);
+    EXPECT_EQ(simulated_annealing(sys).nodes, 0U);
+    EXPECT_EQ(quicksim_ground_state(sys).nodes, 0U);
+}
+
+/// The neutral-reachability gate's headline: the 32-site crossing tile's
+/// first input pattern took 3 297 940 nodes with the three population
+/// window gates alone; with the gate it must take at most 1/20 of that.
+TEST(ExactEngine, NeutralReachabilityCollapsesTheCrossingTile)
+{
+    const auto& crossing = bestagon::layout::BestagonLibrary::instance().crossing();
+    const GateInstanceCache cache{crossing.design, SimulationParameters{}};
+    const auto gs = exact_ground_state(cache.instantiate(0));
+    ASSERT_TRUE(gs.complete);
+    EXPECT_LE(gs.nodes, 3'297'940U / 20U);
+}
+
+/// Every design of the library, the crossing tile included.
+std::vector<const GateDesign*> library_designs()
+{
+    const auto& library = bestagon::layout::BestagonLibrary::instance();
+    std::vector<const GateDesign*> designs{&library.crossing().design};
+    for (const auto& tile : library.all())
+    {
+        designs.push_back(&tile.design);
+    }
+    return designs;
+}
+
+void expect_bit_identical(const SiDBSystem& sys, const std::string& what)
+{
+    const auto reference = exhaustive_ground_state(sys);
+    const auto exact = exact_ground_state(sys);
+    ASSERT_TRUE(reference.complete) << what;
+    ASSERT_TRUE(exact.complete) << what;
+    EXPECT_EQ(exact.config, reference.config) << what;
+    EXPECT_EQ(exact.grand_potential, reference.grand_potential) << what;
+    EXPECT_EQ(exact.degeneracy, reference.degeneracy) << what;
+}
+
+/// Production-traffic differential: the systems step (7b) of the flow
+/// actually simulates — every library tile, every input pattern — must get
+/// bit-identical answers from the exact and the exhaustive engine.
+TEST(ExactEngine, BitIdenticalToExhaustiveOnEveryLibraryTile)
+{
+    for (const auto* design : library_designs())
+    {
+        const GateInstanceCache cache{*design, SimulationParameters{}};
+        for (std::uint64_t pattern = 0; pattern < (1ULL << design->num_inputs()); ++pattern)
+        {
+            expect_bit_identical(cache.instantiate(pattern),
+                                 design->name + " pattern " + std::to_string(pattern));
+        }
+    }
+}
+
+/// The yield sweep's traffic: the nor tile on seeded surfaces of charged
+/// defects (every drawn defect charged, so none is a pure blocker).
+TEST(ExactEngine, BitIdenticalToExhaustiveOnDefectiveNorTiles)
+{
+    const auto& library = bestagon::layout::BestagonLibrary::instance();
+    const auto* nor = library.lookup(bestagon::logic::GateType::nor2, bestagon::layout::Port::nw,
+                                     bestagon::layout::Port::ne, bestagon::layout::Port::sw,
+                                     std::nullopt);
+    ASSERT_NE(nor, nullptr);
+    const SimulationParameters params;
+    const auto region = sweep_region(nor->design, 5.0);
+    DefectSampleParams sample;
+    sample.charged_fraction = 1.0;
+    std::size_t simulated = 0;
+    for (std::uint64_t seed = 1; seed <= 8; ++seed)
+    {
+        const auto surface = sample_defect_surface(region, sample, seed, 3);
+        const GateInstanceCache cache{nor->design, params, &surface};
+        if (cache.blocked())
+        {
+            continue;
+        }
+        for (std::uint64_t pattern = 0; pattern < 4; ++pattern)
+        {
+            expect_bit_identical(cache.instantiate(pattern), "nor seed " + std::to_string(seed) +
+                                                                 " pattern " +
+                                                                 std::to_string(pattern));
+            ++simulated;
+        }
+    }
+    EXPECT_GE(simulated, 16U);  // at least half the surfaces leave the tile usable
 }
 
 // --- quicksim ---------------------------------------------------------------
