@@ -19,8 +19,15 @@
 ///     the exact engine's branch-and-bound node count summed over the four
 ///     input patterns; `operational` records the verdict (0: the crossing
 ///     tile checks non-operational at the paper's parameters).
+///  5. FlowSignoff/threads:t — the whole flow on c17 with step (7b) on at t
+///     threads (c17 places the crossing, fanout and nand tiles). Real time
+///     of one flow run; `validation_ms` is the gate_validation stage's own
+///     wall time (ms resolution, mean over iterations), `tiles` the number
+///     of validated tiles and `operational` how many of them pass.
 
+#include "core/design_flow.hpp"
 #include "layout/bestagon_library.hpp"
+#include "logic/benchmarks.hpp"
 #include "phys/exhaustive.hpp"
 #include "phys/ground_state.hpp"
 #include "phys/ground_state_exact.hpp"
@@ -183,6 +190,36 @@ void BM_CheckOperationalCrossing(benchmark::State& state)
     state.counters["nodes"] = static_cast<double>(nodes);
 }
 
+void BM_FlowSignoff(benchmark::State& state)
+{
+    const auto spec = logic::find_benchmark("c17")->build();
+    bestagon::core::FlowOptions options;
+    options.validate_gates = true;
+    options.sim_params.num_threads = static_cast<unsigned>(state.range(0));
+    double validation_ms = 0.0;
+    std::size_t tiles = 0;
+    std::size_t operational = 0;
+    for (auto _ : state)
+    {
+        const auto result = bestagon::core::run_design_flow(spec, options);
+        if (!result.success())
+        {
+            state.SkipWithError("c17 flow failed");
+            break;
+        }
+        validation_ms += static_cast<double>(result.diagnostics.find("gate_validation")->wall_ms);
+        tiles = result.gate_validation.size();
+        operational = static_cast<std::size_t>(
+            std::count_if(result.gate_validation.begin(), result.gate_validation.end(),
+                          [](const auto& v) { return v.operational; }));
+        benchmark::DoNotOptimize(result);
+    }
+    state.counters["validation_ms"] =
+        benchmark::Counter(validation_ms, benchmark::Counter::kAvgIterations);
+    state.counters["tiles"] = static_cast<double>(tiles);
+    state.counters["operational"] = static_cast<double>(operational);
+}
+
 }  // namespace
 
 BENCHMARK(BM_GroundStateExhaustive)->Arg(12)->Arg(20)->Arg(28)->ArgName("sites")
@@ -196,3 +233,5 @@ BENCHMARK(BM_GroundStateQuickSim)->Arg(20)->Arg(40)->ArgName("sites")
 BENCHMARK(BM_CheckOperationalDefaultExact)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_CheckOperationalExhaustive)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_CheckOperationalCrossing)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_FlowSignoff)->Arg(1)->Arg(2)->Arg(4)->ArgName("threads")
+    ->Unit(benchmark::kMillisecond)->UseRealTime();

@@ -285,8 +285,8 @@ void run_flow_stages(const logic::LogicNetwork& specification, const FlowOptions
         }
     }
 
-    // (7b) ground-state re-validation of the distinct tiles in use; the
-    // checks are independent physical simulations and fan out in parallel.
+    // (7b) ground-state re-validation of the distinct tiles in use: one flat
+    // fan-out over every (tile, pattern) pair, heaviest tile first.
     // Skipped-with-record when the run is already out of budget.
     if (options.validate_gates)
     {
@@ -302,31 +302,38 @@ void run_flow_stages(const logic::LogicNetwork& specification, const FlowOptions
         try
         {
             const auto& used = result.apply_stats.implementations_used;
+            std::vector<const phys::GateDesign*> designs;
+            designs.reserve(used.size());
+            for (const auto* impl : used)
+            {
+                designs.push_back(&impl->design);
+            }
+            auto checks = phys::check_operational(designs, options.sim_params,
+                                                  options.validation_engine, val_run);
+            const bool stochastic = phys::stochastic_engine(
+                phys::resolve_engine(options.validation_engine, options.sim_params));
             result.gate_validation.resize(used.size());
-            parallel_for(options.sim_params.num_threads, used.size(), val_run, [&](std::size_t i) {
+            for (std::size_t i = 0; i < used.size(); ++i)
+            {
                 GateValidation& v = result.gate_validation[i];
-                v.name = used[i]->design.name;
-                auto params = options.sim_params;
-                auto check = phys::check_operational(used[i]->design, params,
-                                                     options.validation_engine, val_run);
+                v.name = designs[i]->name;
+                auto& check = checks[i];
                 // stochastic engine: bounded retries with a deterministically
                 // rotated seed before declaring the tile non-operational
-                while (!check.operational && !check.cancelled &&
-                       phys::stochastic_engine(phys::resolve_engine(options.validation_engine,
-                                                                    options.sim_params)) &&
+                auto params = options.sim_params;
+                while (stochastic && !check.operational && !check.cancelled &&
                        v.retries < options.validation_retries && !val_run.stopped())
                 {
                     ++v.retries;
-                    params.anneal_seed =
-                        derive_seed(options.sim_params.anneal_seed, v.retries);
-                    check = phys::check_operational(used[i]->design, params,
+                    params.anneal_seed = derive_seed(options.sim_params.anneal_seed, v.retries);
+                    check = phys::check_operational(*designs[i], params,
                                                     options.validation_engine, val_run);
                 }
                 v.operational = check.operational;
                 v.patterns_correct = check.patterns_correct;
                 v.patterns_total = check.patterns_total;
                 v.evaluated = !check.cancelled;
-            });
+            }
             unsigned retries = 0;
             bool all_evaluated = true;
             for (const auto& v : result.gate_validation)

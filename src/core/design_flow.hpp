@@ -58,8 +58,9 @@ struct FlowOptions
     bool validate_gates{false};
 
     /// Physical model and thread count for step (7b). sim_params.num_threads
-    /// fans the independent tile checks out across workers (0 = hardware
-    /// concurrency, 1 = serial); results are thread-count invariant.
+    /// fans the independent (tile, pattern) checks out across workers in one
+    /// flat batch (0 = hardware concurrency, 1 = serial); results are
+    /// thread-count invariant.
     phys::SimulationParameters sim_params{};
 
     /// Ground-state engine for step (7b). `automatic` defers to

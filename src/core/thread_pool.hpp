@@ -19,6 +19,10 @@
 ///  - Nested `parallel_for` calls issued from inside a pool worker run
 ///    inline, which both avoids deadlock (workers never block on the queue
 ///    they drain) and caps the total worker count at the pool size.
+///    The price: an outer loop over few, uneven items runs each item's
+///    inner fan-out serially. A fan-out that would nest must therefore be
+///    flattened by its caller into one loop over (outer, inner) pairs, as
+///    the batch `phys::check_operational` does for flow step (7b).
 
 #pragma once
 

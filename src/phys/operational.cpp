@@ -341,37 +341,55 @@ void require_pattern_arity(const GateDesign& design)
     }
 }
 
-/// Shared pattern fan-out of both check_operational overloads: the prebuilt
-/// cache (defect-free or defect-aware) is shared read-only by the whole run.
-OperationalResult check_operational_cached(const GateInstanceCache& cache, Engine engine,
-                                           const core::RunBudget& run)
+/// The one pattern fan-out behind every check_operational overload: a
+/// single parallel_for over every (design, pattern) pair of the batch, each
+/// result written into its design's pattern-indexed slot (patterns skipped
+/// after a stop keep their default slot with evaluated == false). Items are
+/// queued heaviest design first (most instance sites; stable, so ties keep
+/// batch order), so the longest checks start at once instead of last; with
+/// one design the order is plain pattern order. The prebuilt caches
+/// (defect-free or defect-aware, none blocked) are shared read-only.
+std::vector<OperationalResult> check_operational_cached(const std::vector<GateInstanceCache>& caches,
+                                                        unsigned num_threads, Engine engine,
+                                                        const core::RunBudget& run)
 {
-    OperationalResult result;
-    result.patterns_total = 1ULL << cache.design().num_inputs();
-
-    // the per-pattern simulations are independent; fan them out and write
-    // each result into its pattern-indexed slot (patterns skipped after a
-    // stop keep their default slot with evaluated == false)
-    result.details.resize(result.patterns_total);
-    for (std::uint64_t p = 0; p < result.patterns_total; ++p)
+    struct Item
     {
-        result.details[p].pattern = p;  // keep indices on skipped slots, too
-    }
-    core::parallel_for(cache.parameters().num_threads, result.patterns_total, run,
-                       [&](std::size_t pattern) {
-                           result.details[pattern] = simulate_gate_pattern(cache, pattern, engine, run);
-                       });
-    result.cancelled = run.stopped();
-
-    for (const auto& pr : result.details)
+        std::size_t design;
+        std::uint64_t pattern;
+    };
+    std::vector<OperationalResult> results(caches.size());
+    std::vector<Item> items;
+    // bestagon-lint: no-poll-ok(O(total patterns) slot and queue pre-fill; the simulation fan-out below polls via the run-aware parallel_for)
+    for (std::size_t d = 0; d < caches.size(); ++d)
     {
-        if (pr.correct)
+        auto& result = results[d];
+        result.patterns_total = 1ULL << caches[d].design().num_inputs();
+        result.details.resize(result.patterns_total);
+        for (std::uint64_t p = 0; p < result.patterns_total; ++p)
         {
-            ++result.patterns_correct;
+            result.details[p].pattern = p;  // keep indices on skipped slots, too
+            items.push_back({d, p});
         }
     }
-    result.operational = result.patterns_correct == result.patterns_total;
-    return result;
+    std::stable_sort(items.begin(), items.end(), [&](const Item& a, const Item& b) {
+        return caches[a.design].num_sites() > caches[b.design].num_sites();
+    });
+    core::parallel_for(num_threads, items.size(), run, [&](std::size_t i) {
+        const auto [d, p] = items[i];
+        results[d].details[p] = simulate_gate_pattern(caches[d], p, engine, run);
+    });
+
+    for (auto& result : results)
+    {
+        for (const auto& pr : result.details)
+        {
+            result.patterns_correct += pr.correct ? 1 : 0;
+            result.cancelled = result.cancelled || !pr.evaluated || pr.ground_state.cancelled;
+        }
+        result.operational = result.patterns_correct == result.patterns_total;
+    }
+    return results;
 }
 
 }  // namespace
@@ -379,11 +397,25 @@ OperationalResult check_operational_cached(const GateInstanceCache& cache, Engin
 OperationalResult check_operational(const GateDesign& design, const SimulationParameters& params,
                                     Engine engine, const core::RunBudget& run)
 {
-    require_pattern_arity(design);
-    // one pattern-invariant potential cache shared (read-only) by the whole
-    // fan-out: the fixed n x n block is evaluated once, not 2^k times
-    const GateInstanceCache cache{design, params};
-    return check_operational_cached(cache, engine, run);
+    const GateDesign* const designs[] = {&design};
+    return std::move(check_operational(designs, params, engine, run).front());
+}
+
+std::vector<OperationalResult> check_operational(std::span<const GateDesign* const> designs,
+                                                 const SimulationParameters& params, Engine engine,
+                                                 const core::RunBudget& run)
+{
+    // one pattern-invariant potential cache per design, shared (read-only)
+    // by the whole fan-out: each fixed n x n block is evaluated once, not
+    // 2^k times
+    std::vector<GateInstanceCache> caches;
+    caches.reserve(designs.size());
+    for (const GateDesign* design : designs)
+    {
+        require_pattern_arity(*design);
+        caches.emplace_back(*design, params);
+    }
+    return check_operational_cached(caches, params.num_threads, engine, run);
 }
 
 OperationalResult check_operational(const GateDesign& design, const SimulationParameters& params,
@@ -391,18 +423,19 @@ OperationalResult check_operational(const GateDesign& design, const SimulationPa
                                     const core::RunBudget& run)
 {
     require_pattern_arity(design);
-    const GateInstanceCache cache{design, params, &defects};
-    if (cache.blocked())
+    std::vector<GateInstanceCache> caches;
+    caches.emplace_back(design, params, &defects);
+    if (caches.front().blocked())
     {
         // nothing is simulated: the blocked site's Coulomb terms may be
         // singular, and the design cannot be fabricated as laid out anyway
         OperationalResult result;
         result.patterns_total = 1ULL << design.num_inputs();
         result.blocked = true;
-        result.blocked_reason = cache.blocked_reason();
+        result.blocked_reason = caches.front().blocked_reason();
         return result;
     }
-    return check_operational_cached(cache, engine, run);
+    return std::move(check_operational_cached(caches, params.num_threads, engine, run).front());
 }
 
 }  // namespace bestagon::phys

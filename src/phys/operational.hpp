@@ -17,6 +17,7 @@
 #include "phys/ground_state.hpp"
 #include "phys/model.hpp"
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -210,9 +211,10 @@ struct OperationalResult
     std::uint64_t patterns_correct{0};
     std::uint64_t patterns_total{0};
     std::vector<PatternResult> details;
-    bool cancelled{false};  ///< the check was cut by a run budget; unevaluated
-                            ///< patterns have evaluated == false and count as
-                            ///< incorrect, so `operational` stays conservative
+    bool cancelled{false};  ///< a run budget cut this check: some pattern was
+                            ///< skipped (evaluated == false, counted as
+                            ///< incorrect, so `operational` stays conservative)
+                            ///< or its ground-state search was cut
     bool blocked{false};    ///< a defect blocks an instance site: nothing was
                             ///< simulated, the gate cannot be fabricated as-is
     std::string blocked_reason;  ///< which site/defect collided (empty if none)
@@ -226,11 +228,24 @@ inline constexpr unsigned max_gate_inputs = 63;
 /// Patterns are simulated concurrently according to params.num_threads;
 /// details remain ordered by pattern and are identical for any thread
 /// count. Throws std::invalid_argument if the design has more than
-/// max_gate_inputs inputs.
+/// max_gate_inputs inputs. The one-design case of the batch overload below.
 [[nodiscard]] OperationalResult check_operational(const GateDesign& design,
                                                   const SimulationParameters& params,
                                                   Engine engine = Engine::automatic,
                                                   const core::RunBudget& run = {});
+
+/// Checks several designs in ONE flat fan-out over every (design, pattern)
+/// pair instead of one fan-out per design: a fan-out nested inside a pool
+/// worker runs inline, so checking designs in an outer parallel loop would
+/// run each design's patterns serially. Pairs are started heaviest design
+/// first (most instance sites), so the longest checks do not trail at the
+/// end. Result i belongs to designs[i] and equals
+/// `check_operational(*designs[i], params, engine, run)` for any thread
+/// count under an unlimited budget; after a stop, each design's
+/// `cancelled` tells whether its own patterns were cut.
+[[nodiscard]] std::vector<OperationalResult> check_operational(
+    std::span<const GateDesign* const> designs, const SimulationParameters& params,
+    Engine engine = Engine::automatic, const core::RunBudget& run = {});
 
 /// Defect-aware operational check: if a defect blocks any instance site the
 /// result is non-operational with blocked = true and nothing is simulated

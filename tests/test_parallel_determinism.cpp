@@ -3,6 +3,8 @@
 ///        fan-out point must produce bit-identical results at 1 thread vs N
 ///        threads and across repeated runs with the same seed.
 
+#include "core/design_flow.hpp"
+#include "logic/benchmarks.hpp"
 #include "phys/defect_sweep.hpp"
 #include "phys/gate_designer.hpp"
 #include "phys/operational_domain.hpp"
@@ -10,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -273,6 +276,59 @@ TEST(ParallelDeterminism, DefectYieldSweepMatchesSerialForAnyThreadCount)
     sweep.num_threads = 3;
     EXPECT_EQ(to_json(defect_yield_sweep(design, SimulationParameters{}, sweep)),
               to_json(reference));
+}
+
+TEST(ParallelDeterminism, FlowSignoffMatchesPerTileChecks)
+{
+    // c17 places the crossing, fanout and nand tiles: the flat (tile,
+    // pattern) fan-out of step (7b) must give every tile the verdict of its
+    // own serial check, for any thread count
+    const auto spec = bestagon::logic::find_benchmark("c17")->build();
+    bestagon::core::FlowOptions options;
+    options.validate_gates = true;
+    options.sim_params.num_threads = 1;
+    const auto reference = bestagon::core::run_design_flow(spec, options);
+    ASSERT_TRUE(reference.success());
+    const auto& used = reference.apply_stats.implementations_used;
+    ASSERT_EQ(reference.gate_validation.size(), used.size());
+    for (const char* tile : {"crossing", "fanout", "nand"})
+    {
+        EXPECT_TRUE(std::any_of(used.begin(), used.end(),
+                                [&](const auto* impl) { return impl->design.name == tile; }))
+            << tile;
+    }
+
+    SimulationParameters serial = options.sim_params;
+    for (std::size_t i = 0; i < used.size(); ++i)
+    {
+        const auto& v = reference.gate_validation[i];
+        const auto check = check_operational(used[i]->design, serial);
+        EXPECT_EQ(v.name, used[i]->design.name);
+        EXPECT_TRUE(v.evaluated) << v.name;
+        EXPECT_EQ(v.retries, 0U) << v.name;
+        EXPECT_EQ(v.operational, check.operational) << v.name;
+        EXPECT_EQ(v.patterns_correct, check.patterns_correct) << v.name;
+        EXPECT_EQ(v.patterns_total, check.patterns_total) << v.name;
+    }
+
+    for (const unsigned threads : {2U, 4U, 8U})
+    {
+        options.sim_params.num_threads = threads;
+        const auto parallel = bestagon::core::run_design_flow(spec, options);
+        ASSERT_TRUE(parallel.success()) << threads;
+        ASSERT_EQ(parallel.gate_validation.size(), reference.gate_validation.size()) << threads;
+        for (std::size_t i = 0; i < reference.gate_validation.size(); ++i)
+        {
+            const auto& a = reference.gate_validation[i];
+            const auto& b = parallel.gate_validation[i];
+            EXPECT_EQ(a.name, b.name) << threads;
+            EXPECT_EQ(a.operational, b.operational) << a.name << " @" << threads;
+            EXPECT_EQ(a.patterns_correct, b.patterns_correct) << a.name << " @" << threads;
+            EXPECT_EQ(a.patterns_total, b.patterns_total) << a.name << " @" << threads;
+            EXPECT_EQ(a.retries, b.retries) << a.name << " @" << threads;
+            EXPECT_EQ(a.evaluated, b.evaluated) << a.name << " @" << threads;
+        }
+    }
 }
 
 }  // namespace

@@ -318,6 +318,35 @@ TEST(RunControl, ZeroDeadlineSkipsGateValidationWithRecord)
     EXPECT_TRUE(result.gate_validation.empty());
 }
 
+TEST(RunControl, CutValidationRecordsEveryTileByName)
+{
+    // a zero validation budget cuts step (7b) before any tile runs; the
+    // unevaluated entries must still say which tile they are and how many
+    // patterns it has
+    FlowOptions options;
+    options.validate_gates = true;
+    options.validation_budget_ms = 0;
+    const auto result =
+        core::run_design_flow(logic::find_benchmark("c17")->build(), options);
+    ASSERT_TRUE(result.success());
+    const auto* val = result.diagnostics.find("gate_validation");
+    ASSERT_NE(val, nullptr);
+    EXPECT_EQ(val->status, StageStatus::timed_out);
+    EXPECT_NE(val->detail.find("unevaluated tiles are recorded"), std::string::npos)
+        << val->detail;
+    const auto& used = result.apply_stats.implementations_used;
+    ASSERT_EQ(result.gate_validation.size(), used.size());
+    ASSERT_FALSE(used.empty());
+    for (std::size_t i = 0; i < used.size(); ++i)
+    {
+        const auto& v = result.gate_validation[i];
+        EXPECT_EQ(v.name, used[i]->design.name) << i;
+        EXPECT_EQ(v.patterns_total, 1ULL << used[i]->design.num_inputs()) << v.name;
+        EXPECT_FALSE(v.evaluated) << v.name;
+        EXPECT_FALSE(v.operational) << v.name;
+    }
+}
+
 TEST(RunControl, ValidationRetriesAreBoundedAndRecorded)
 {
     FlowOptions options;
