@@ -1,14 +1,17 @@
 /// \file bench_defects.cpp
 /// \brief Throughput of the Monte-Carlo defect yield sweep — the robustness
-///        analysis loop of the flow. Sweeps the validated Bestagon OR gate
-///        over seeded defect surfaces at three fab-realistic densities;
-///        every sample is an independent defect-aware check_operational call
-///        (4 input patterns), fanned out over the thread pool.
+///        analysis loop of the flow. Sweeps the validated Bestagon OR and
+///        NOR gates over seeded defect surfaces at three fab-realistic
+///        densities. The sweep checks the defect-free gate once, reuses a
+///        verdict on every density step that adds no charged defect and
+///        blocks nothing, and simulates the other steps pattern by pattern
+///        up to the first wrong pattern (see phys/defect_sweep.hpp).
 ///
 /// Run as:  bench_defects
-/// The Threads<N> rows share one workload; the yield counter is identical
-/// across thread counts (sample seeds are derived per index, not per
-/// worker). The PerSample rows isolate the cost of one defect-aware
+/// The threads:N rows of one gate share one workload; the yield and the
+/// work counters (checks_simulated, checks_reused, patterns_simulated) are
+/// identical across thread counts (sample seeds are derived per index, not
+/// per worker). The PerSample rows isolate the cost of one full defect-aware
 /// operational check against the defect-free baseline.
 
 #include "layout/bestagon_library.hpp"
@@ -18,22 +21,23 @@
 #include <benchmark/benchmark.h>
 
 #include <stdexcept>
+#include <string>
 
 namespace
 {
 
 using namespace bestagon::phys;
 
-const GateDesign& or_gate()
+const GateDesign& library_gate(const std::string& name)
 {
     for (const auto& impl : bestagon::layout::BestagonLibrary::instance().all())
     {
-        if (impl.design.name == "or" && impl.simulation_validated)
+        if (impl.design.name == name && impl.simulation_validated)
         {
             return impl.design;
         }
     }
-    throw std::logic_error{"no validated OR gate in the library"};
+    throw std::logic_error{"no validated library gate named " + name};
 }
 
 DefectSweepParams sweep_params(unsigned threads)
@@ -46,20 +50,23 @@ DefectSweepParams sweep_params(unsigned threads)
     return sweep;
 }
 
-void BM_DefectYieldSweep(benchmark::State& state)
+void BM_DefectYieldSweep(benchmark::State& state, const char* gate)
 {
-    const auto& design = or_gate();
+    const auto& design = library_gate(gate);
     const auto sweep = sweep_params(static_cast<unsigned>(state.range(0)));
     const SimulationParameters params;  // library calibration point
 
-    double yield = 0.0;
+    DefectSweepResult result;
     for (auto _ : state)
     {
-        const auto result = defect_yield_sweep(design, params, sweep);
-        yield = result.points.back().yield();
+        result = defect_yield_sweep(design, params, sweep);
         benchmark::DoNotOptimize(result);
     }
-    state.counters["yield"] = yield;  // identical across thread counts
+    // identical across thread counts
+    state.counters["yield"] = result.points.back().yield();
+    state.counters["checks_simulated"] = static_cast<double>(result.work.checks_simulated);
+    state.counters["checks_reused"] = static_cast<double>(result.work.checks_reused);
+    state.counters["patterns_simulated"] = static_cast<double>(result.work.patterns_simulated);
     state.counters["samples/s"] = benchmark::Counter(
         static_cast<double>(sweep.samples) * static_cast<double>(state.iterations()),
         benchmark::Counter::kIsRate);
@@ -69,7 +76,7 @@ void BM_DefectYieldSweep(benchmark::State& state)
 /// of work the sweep fans out.
 void BM_PerSampleCheck(benchmark::State& state)
 {
-    const auto& design = or_gate();
+    const auto& design = library_gate("or");
     SimulationParameters params;
     params.num_threads = 1;
 
@@ -100,7 +107,7 @@ void BM_PerSampleCheck(benchmark::State& state)
 /// cost of the defect path (blocking scan + external-potential rows).
 void BM_PerSampleCheckDefectFree(benchmark::State& state)
 {
-    const auto& design = or_gate();
+    const auto& design = library_gate("or");
     SimulationParameters params;
     params.num_threads = 1;
 
@@ -113,11 +120,20 @@ void BM_PerSampleCheckDefectFree(benchmark::State& state)
 
 }  // namespace
 
-BENCHMARK(BM_DefectYieldSweep)
+BENCHMARK_CAPTURE(BM_DefectYieldSweep, or_gate, "or")
     ->Arg(1)   // serial baseline
     ->Arg(2)
     ->Arg(4)
     ->Arg(0)   // hardware concurrency
+    ->ArgName("threads")
+    ->Unit(benchmark::kMillisecond)
+    ->MeasureProcessCPUTime()
+    ->UseRealTime();
+
+// the tile that dominates the flowbench yield workload
+BENCHMARK_CAPTURE(BM_DefectYieldSweep, nor_gate, "nor")
+    ->Arg(1)
+    ->Arg(4)
     ->ArgName("threads")
     ->Unit(benchmark::kMillisecond)
     ->MeasureProcessCPUTime()

@@ -52,35 +52,39 @@ void DefectSweepParams::validate() const
     sample.validate();
 }
 
+namespace
+{
+
+/// Every site any input pattern can instantiate: the instance sites of
+/// pattern 0 (fixed sites, far drivers, perturbers) plus every near driver
+/// — the sites GateInstanceCache scans for blocking defects.
+std::vector<SiDBSite> footprint_sites(const GateDesign& design)
+{
+    auto sites = design.instance_sites(0);
+    for (const auto& drv : design.drivers)
+    {
+        sites.push_back(drv.near_site);
+    }
+    return sites;
+}
+
+}  // namespace
+
 DefectRegion sweep_region(const GateDesign& design, double margin_nm)
 {
+    const auto sites = footprint_sites(design);
     DefectRegion region;
-    bool first = true;
-    const auto extend = [&](const SiDBSite& s) {
-        if (first)
-        {
-            region.n_min = region.n_max = s.n;
-            region.m_min = region.m_max = s.m;
-            first = false;
-            return;
-        }
+    if (!sites.empty())
+    {
+        region.n_min = region.n_max = sites.front().n;
+        region.m_min = region.m_max = sites.front().m;
+    }
+    for (const auto& s : sites)
+    {
         region.n_min = std::min(region.n_min, s.n);
         region.n_max = std::max(region.n_max, s.n);
         region.m_min = std::min(region.m_min, s.m);
         region.m_max = std::max(region.m_max, s.m);
-    };
-    for (const auto& s : design.sites)
-    {
-        extend(s);
-    }
-    for (const auto& drv : design.drivers)
-    {
-        extend(drv.far_site);
-        extend(drv.near_site);
-    }
-    for (const auto& s : design.output_perturbers)
-    {
-        extend(s);
     }
     const auto dn = static_cast<std::int32_t>(std::ceil(margin_nm / lattice_pitch_x));
     const auto dm = static_cast<std::int32_t>(std::ceil(margin_nm / lattice_pitch_y));
@@ -94,6 +98,18 @@ DefectRegion sweep_region(const GateDesign& design, double margin_nm)
 namespace
 {
 
+/// What every sample of one sweep shares, read-only.
+struct SweepContext
+{
+    const GateDesign& design;
+    const SimulationParameters& params;  ///< num_threads = 1: samples run serially
+    const DefectSweepParams& sweep;
+    const DefectRegion& region;
+    std::vector<SiDBSite> footprint;     ///< see footprint_sites
+    bool pristine_operational;           ///< verdict of the defect-free gate
+    bool reuse_charged_steps;            ///< testkit fault: skip ignores charge
+};
+
 /// Verdict of one Monte-Carlo sample across the ascending density walk.
 struct SampleOutcome
 {
@@ -101,54 +117,115 @@ struct SampleOutcome
     std::size_t first_failure{0};  ///< density index of the first failure; ==
                                    ///< densities.size() when it never failed
     bool failure_was_blocked{false};
+    DefectSweepWork work;
 };
+
+enum class StepVerdict : std::uint8_t
+{
+    operational,
+    failed,
+    cancelled
+};
+
+/// Simulates the patterns of \p cache in pattern order and stops at the
+/// first incorrect one. Same verdict as check_operational on the same
+/// surface, which simulates every pattern.
+StepVerdict simulate_until_wrong(const GateInstanceCache& cache, Engine engine,
+                                 const core::RunBudget& run, DefectSweepWork& work)
+{
+    const std::uint64_t patterns = 1ULL << cache.design().num_inputs();
+    for (std::uint64_t p = 0; p < patterns; ++p)
+    {
+        if (run.stopped())
+        {
+            return StepVerdict::cancelled;
+        }
+        const auto pattern = simulate_gate_pattern(cache, p, engine, run);
+        ++work.patterns_simulated;
+        if (pattern.ground_state.cancelled)
+        {
+            return StepVerdict::cancelled;
+        }
+        if (!pattern.correct)
+        {
+            return StepVerdict::failed;
+        }
+    }
+    return StepVerdict::operational;
+}
 
 /// One sample: walk the densities ascending over nested defect prefixes and
 /// stop at the first failure (every higher density contains the defect
-/// configuration that already failed, so the verdict is decided).
-SampleOutcome evaluate_sample(const GateDesign& design, const SimulationParameters& params,
-                              const DefectSweepParams& sweep, const DefectRegion& region,
-                              std::uint64_t sample_seed, const core::RunBudget& run)
+/// configuration that already failed, so the verdict is decided). Only a
+/// step that adds a charged defect is simulated; see defect_sweep.hpp.
+SampleOutcome evaluate_sample(const SweepContext& ctx, std::uint64_t sample_seed,
+                              const core::RunBudget& run)
 {
+    const auto& densities = ctx.sweep.densities_per_nm2;
     DefectSampleParams sample_params;
-    sample_params.charged_fraction = sweep.charged_fraction;
-    sample_params.charge = sweep.charge;
-    sample_params.exclusion_radius_nm = sweep.exclusion_radius_nm;
+    sample_params.charged_fraction = ctx.sweep.charged_fraction;
+    sample_params.charge = ctx.sweep.charge;
+    sample_params.exclusion_radius_nm = ctx.sweep.exclusion_radius_nm;
 
     // one deterministic stream per sample: the surface at density k is the
     // prefix of the full surface at the highest density
     std::vector<std::size_t> counts;
-    counts.reserve(sweep.densities_per_nm2.size());
-    for (const double density : sweep.densities_per_nm2)
+    counts.reserve(densities.size());
+    for (const double density : densities)
     {
-        counts.push_back(defect_count_for_density(region, density, sample_seed));
+        counts.push_back(defect_count_for_density(ctx.region, density, sample_seed));
     }
     const DefectSurface full =
-        sample_defect_surface(region, sample_params, sample_seed, counts.back());
+        sample_defect_surface(ctx.region, sample_params, sample_seed, counts.back());
 
     SampleOutcome outcome;
-    outcome.first_failure = sweep.densities_per_nm2.size();
-    for (std::size_t k = 0; k < sweep.densities_per_nm2.size(); ++k)
+    outcome.first_failure = densities.size();
+    // verdict of the last judged Hamiltonian: before the first step, the
+    // defect-free gate's
+    bool operational = ctx.pristine_operational;
+    for (std::size_t k = 0; k < densities.size(); ++k)
     {
         if (run.stopped())
         {
             return outcome;  // evaluated stays false: no verdict for this sample
         }
-        // skip re-simulation when this density adds no defect over the last
-        if (k > 0 && counts[k] == counts[k - 1])
+        const std::size_t first_new = k == 0 ? 0 : counts[k - 1];
+        if (k > 0 && counts[k] == first_new)
         {
-            continue;
+            continue;  // no new defect: the same surface as the last step
         }
-        const DefectSurface surface = full.prefix(counts[k]);
-        const auto result = check_operational(design, params, surface, sweep.engine, run);
-        if (result.cancelled)
+        DefectSurface added;
+        for (std::size_t i = first_new; i < counts[k]; ++i)
         {
-            return outcome;
+            added.add(full.defects()[i]);
         }
-        if (!result.operational)
+        // the earlier defects block nothing (or the walk would have
+        // stopped), so the step is blocked exactly when a new defect blocks
+        if (added.blocks_any(ctx.footprint))
         {
             outcome.first_failure = k;
-            outcome.failure_was_blocked = result.blocked;
+            outcome.failure_was_blocked = true;
+            break;
+        }
+        if (!added.has_charged() || ctx.reuse_charged_steps)
+        {
+            ++outcome.work.checks_reused;  // same charged set, same system
+        }
+        else
+        {
+            ++outcome.work.checks_simulated;
+            const DefectSurface surface = full.prefix(counts[k]);
+            const GateInstanceCache cache{ctx.design, ctx.params, &surface};
+            const auto verdict = simulate_until_wrong(cache, ctx.sweep.engine, run, outcome.work);
+            if (verdict == StepVerdict::cancelled)
+            {
+                return outcome;
+            }
+            operational = verdict == StepVerdict::operational;
+        }
+        if (!operational)
+        {
+            outcome.first_failure = k;
             break;
         }
     }
@@ -156,10 +233,9 @@ SampleOutcome evaluate_sample(const GateDesign& design, const SimulationParamete
     return outcome;
 }
 
-}  // namespace
-
-DefectSweepResult defect_yield_sweep(const GateDesign& design, const SimulationParameters& params,
-                                     const DefectSweepParams& sweep, const core::RunBudget& run)
+DefectSweepResult run_sweep(const GateDesign& design, const SimulationParameters& params,
+                            const DefectSweepParams& sweep, const core::RunBudget& run,
+                            bool reuse_charged_steps)
 {
     sweep.validate();
     validate_parameters(params);
@@ -180,23 +256,41 @@ DefectSweepResult defect_yield_sweep(const GateDesign& design, const SimulationP
         result.points[k].density_per_nm2 = sweep.densities_per_nm2[k];
     }
 
-    // the parallelism budget is spent across samples; each sample's
-    // operational checks run serially so the fan-out is index-addressed and
-    // bit-identical for any thread count
+    // the defect-free verdict, once per sweep, patterns fanned out
+    SimulationParameters fanned = params;
+    fanned.num_threads = sweep.num_threads;
+    const auto pristine = check_operational(design, fanned, sweep.engine, run);
+    result.work.checks_simulated = 1;
+    for (const auto& pattern : pristine.details)
+    {
+        result.work.patterns_simulated += pattern.evaluated ? 1 : 0;
+    }
+    if (pristine.cancelled)
+    {
+        result.cancelled = true;
+        return result;
+    }
+
+    // the parallelism budget is now spent across samples; each sample's
+    // steps run serially so the fan-out is index-addressed and bit-identical
+    // for any thread count
     SimulationParameters serial = params;
     serial.num_threads = 1;
+    const SweepContext ctx{design,         serial, sweep, result.region, footprint_sites(design),
+                           pristine.operational, reuse_charged_steps};
 
     std::vector<SampleOutcome> outcomes(sweep.samples);
     core::parallel_for(sweep.num_threads, sweep.samples, run, [&](std::size_t s) {
-        outcomes[s] =
-            evaluate_sample(design, serial, sweep, result.region,
-                            core::derive_seed(sweep.seed, s), run);
+        outcomes[s] = evaluate_sample(ctx, core::derive_seed(sweep.seed, s), run);
     });
     result.cancelled = run.stopped();
 
     // serial reduction in sample order: survival accounting per density
     for (const auto& outcome : outcomes)
     {
+        result.work.checks_simulated += outcome.work.checks_simulated;
+        result.work.checks_reused += outcome.work.checks_reused;
+        result.work.patterns_simulated += outcome.work.patterns_simulated;
         if (!outcome.evaluated)
         {
             continue;
@@ -218,6 +312,21 @@ DefectSweepResult defect_yield_sweep(const GateDesign& design, const SimulationP
     return result;
 }
 
+}  // namespace
+
+DefectSweepResult defect_yield_sweep(const GateDesign& design, const SimulationParameters& params,
+                                     const DefectSweepParams& sweep, const core::RunBudget& run)
+{
+    return run_sweep(design, params, sweep, run, false);
+}
+
+DefectSweepResult testkit_defect_yield_sweep_reusing_charged_steps(
+    const GateDesign& design, const SimulationParameters& params, const DefectSweepParams& sweep,
+    const core::RunBudget& run)
+{
+    return run_sweep(design, params, sweep, run, true);
+}
+
 std::string to_json(const DefectSweepResult& result)
 {
     std::ostringstream out;
@@ -229,6 +338,9 @@ std::string to_json(const DefectSweepResult& result)
         << ", \"n_max\": " << result.region.n_max << ", \"m_min\": " << result.region.m_min
         << ", \"m_max\": " << result.region.m_max
         << ", \"area_nm2\": " << result.region.area_nm2() << "},\n";
+    out << "  \"work\": {\"checks_simulated\": " << result.work.checks_simulated
+        << ", \"checks_reused\": " << result.work.checks_reused
+        << ", \"patterns_simulated\": " << result.work.patterns_simulated << "},\n";
     out << "  \"points\": [\n";
     for (std::size_t k = 0; k < result.points.size(); ++k)
     {

@@ -854,6 +854,67 @@ OracleVerdict charge_state_differential(const std::vector<phys::SiDBSite>& canva
     return {};
 }
 
+phys::DefectSweepResult reference_yield_sweep(const phys::GateDesign& design,
+                                              const phys::SimulationParameters& sim_params,
+                                              const phys::DefectSweepParams& sweep)
+{
+    phys::DefectSweepResult result;
+    result.gate_name = design.name;
+    result.region = phys::sweep_region(design, sweep.margin_nm);
+    for (const double density : sweep.densities_per_nm2)
+    {
+        result.points.push_back({density, 0, 0, 0});
+    }
+    phys::DefectSampleParams sample_params;
+    sample_params.charged_fraction = sweep.charged_fraction;
+    sample_params.charge = sweep.charge;
+    sample_params.exclusion_radius_nm = sweep.exclusion_radius_nm;
+    phys::SimulationParameters serial = sim_params;
+    serial.num_threads = 1;
+
+    for (unsigned s = 0; s < sweep.samples; ++s)
+    {
+        const auto sample_seed = core::derive_seed(sweep.seed, s);
+        std::vector<std::size_t> counts;
+        for (const double density : sweep.densities_per_nm2)
+        {
+            counts.push_back(phys::defect_count_for_density(result.region, density, sample_seed));
+        }
+        const auto full =
+            phys::sample_defect_surface(result.region, sample_params, sample_seed, counts.back());
+        std::size_t first_failure = counts.size();
+        bool blocked = false;
+        for (std::size_t k = 0; k < counts.size(); ++k)
+        {
+            if (k > 0 && counts[k] == counts[k - 1])
+            {
+                continue;  // the same surface as the last step
+            }
+            const auto check =
+                phys::check_operational(design, serial, full.prefix(counts[k]), sweep.engine);
+            ++result.work.checks_simulated;
+            if (!check.blocked)
+            {
+                result.work.patterns_simulated += check.patterns_total;
+            }
+            if (!check.operational)
+            {
+                first_failure = k;
+                blocked = check.blocked;
+                break;
+            }
+        }
+        for (std::size_t k = 0; k < counts.size(); ++k)
+        {
+            auto& point = result.points[k];
+            ++point.samples_evaluated;
+            point.operational += first_failure > k ? 1 : 0;
+            point.blocked += first_failure <= k && blocked ? 1 : 0;
+        }
+    }
+    return result;
+}
+
 OracleVerdict defect_differential(const phys::GateDesign& design,
                                   const phys::SimulationParameters& sim_params, std::uint64_t seed,
                                   double tolerance, DefectFault fault)
@@ -1031,7 +1092,13 @@ OracleVerdict defect_differential(const phys::GateDesign& design,
     sweep.samples = 6;
     sweep.seed = seed;
     sweep.num_threads = 1;
-    const auto serial = phys::defect_yield_sweep(design, sim_params, sweep);
+    const auto run_sweep = [&] {
+        return fault == DefectFault::reuse_across_charged_step
+                   ? phys::testkit_defect_yield_sweep_reusing_charged_steps(design, sim_params,
+                                                                            sweep)
+                   : phys::defect_yield_sweep(design, sim_params, sweep);
+    };
+    const auto serial = run_sweep();
     if (serial.cancelled)
     {
         return fail("unbudgeted yield sweep reported cancellation");
@@ -1058,8 +1125,38 @@ OracleVerdict defect_differential(const phys::GateDesign& design,
             return fail(out.str());
         }
     }
+    // the skip rules and the early exit change the work, never a count
+    const auto reference = reference_yield_sweep(design, sim_params, sweep);
+    for (std::size_t k = 0; k < serial.points.size(); ++k)
+    {
+        const auto& fast = serial.points[k];
+        const auto& naive = reference.points[k];
+        if (fast.operational != naive.operational || fast.blocked != naive.blocked ||
+            fast.samples_evaluated != naive.samples_evaluated)
+        {
+            out << "yield sweep diverges from the reference lane at density "
+                << fast.density_per_nm2 << ": " << fast.operational << " operational / "
+                << fast.blocked << " blocked of " << fast.samples_evaluated << " vs reference "
+                << naive.operational << " / " << naive.blocked << " of "
+                << naive.samples_evaluated;
+            return fail(out.str());
+        }
+    }
+    // every reference check is simulated, reused or blocked exactly once;
+    // the sweep's own pristine check is the one extra simulated check
+    const auto blocked_checks = serial.points.back().blocked;
+    if (serial.work.checks_simulated + serial.work.checks_reused + blocked_checks !=
+        reference.work.checks_simulated + 1)
+    {
+        out << "yield sweep accounts for " << serial.work.checks_simulated << " simulated + "
+            << serial.work.checks_reused << " reused + " << blocked_checks
+            << " blocked checks; the reference lane ran " << reference.work.checks_simulated
+            << " plus the pristine check";
+        return fail(out.str());
+    }
+
     sweep.num_threads = 3;
-    const auto threaded = phys::defect_yield_sweep(design, sim_params, sweep);
+    const auto threaded = run_sweep();
     if (threaded.points.size() != serial.points.size())
     {
         return fail("thread count changed the number of sweep points");
@@ -1077,11 +1174,17 @@ OracleVerdict defect_differential(const phys::GateDesign& design,
             return fail(out.str());
         }
     }
-
-    if (fault == DefectFault::ignore_defect_potentials)
+    if (threaded.work.checks_simulated != serial.work.checks_simulated ||
+        threaded.work.checks_reused != serial.work.checks_reused ||
+        threaded.work.patterns_simulated != serial.work.patterns_simulated)
     {
-        return fail("ignore_defect_potentials fault was injected but every check passed — the "
-                    "oracle lost its mutation coverage");
+        return fail("yield sweep work counters are not thread-count invariant");
+    }
+
+    if (fault != DefectFault::none)
+    {
+        return fail("a defect fault was injected but every check passed — the oracle lost its "
+                    "mutation coverage");
     }
     return {};
 }

@@ -29,6 +29,7 @@
 #include "core/design_flow.hpp"
 #include "logic/network.hpp"
 #include "layout/exact_physical_design.hpp"
+#include "phys/defect_sweep.hpp"
 #include "phys/model.hpp"
 #include "phys/operational.hpp"
 #include "phys/simanneal.hpp"
@@ -181,8 +182,23 @@ enum class DefectFault : std::uint8_t
     /// The kernel rebuild drops the charged-defect background W — models an
     /// engine that forgot the external potentials (the defect analogue of
     /// skip_cache_update).
-    ignore_defect_potentials
+    ignore_defect_potentials,
+    /// The yield sweep reuses the previous verdict on a density step that
+    /// adds a charged defect (phys::testkit_defect_yield_sweep_reusing_
+    /// charged_steps) — a skip rule that forgot the defect background.
+    reuse_across_charged_step
 };
+
+/// Naive reference lane of phys::defect_yield_sweep: the same seeded
+/// surfaces, but every sample serially and every density step that adds a
+/// defect (and the first step) through a full defect-aware
+/// phys::check_operational — no defect-free verdict, no reuse across
+/// charge-free steps, no early exit. Unbudgeted. Its work counters count
+/// those checks as simulated (checks_reused stays 0) and every pattern of
+/// every unblocked check.
+[[nodiscard]] phys::DefectSweepResult reference_yield_sweep(
+    const phys::GateDesign& design, const phys::SimulationParameters& sim_params,
+    const phys::DefectSweepParams& sweep);
 
 /// Differential oracle for the defect-aware simulation path, in four parts:
 ///
@@ -199,10 +215,14 @@ enum class DefectFault : std::uint8_t
 ///     reference on the defect system (both see W through the kernel).
 ///  3. *Yield-sweep invariants*: a small Monte-Carlo sweep over \p design
 ///     must evaluate every sample, produce a monotonically non-increasing
-///     survival curve, and be bit-identical between 1 and 3 worker threads.
+///     survival curve, equal reference_yield_sweep on every point's
+///     operational, blocked and samples_evaluated counts, account for every
+///     reference check as simulated, reused or blocked, and be bit-identical
+///     (work counters included) between 1 and 3 worker threads.
 ///  4. With DefectFault::ignore_defect_potentials, the kernel cache is
-///     rebuilt without W mid-check; the oracle must detect the divergence
-///     (mutation coverage for the oracle itself).
+///     rebuilt without W mid-check; with DefectFault::reuse_across_charged_
+///     step, part 3 sweeps through the faulty skip rule. The oracle must
+///     detect either divergence (mutation coverage for the oracle itself).
 [[nodiscard]] OracleVerdict defect_differential(const phys::GateDesign& design,
                                                 const phys::SimulationParameters& sim_params,
                                                 std::uint64_t seed, double tolerance = 1e-12,

@@ -68,7 +68,8 @@ TEST(FuzzDefects, SqdReaderNeverThrowsOnMutatedDocuments)
     const phys::DefectRegion region{-10, 40, -10, 40};
     phys::DefectSampleParams sample_params;
     sample_params.density_per_nm2 = 0.02;
-    for (const auto& d : sample_defect_surface(region, sample_params, 7).defects())
+    const auto drawn = sample_defect_surface(region, sample_params, 7);
+    for (const auto& d : drawn.defects())
     {
         surface.add(d);
     }
@@ -123,6 +124,17 @@ TEST(FuzzDefects, OracleCatchesIgnoredDefectPotentials)
                                      1e-12, testkit::DefectFault::ignore_defect_potentials);
     ASSERT_FALSE(verdict.ok) << "oracle missed a kernel that ignores defect potentials";
     EXPECT_NE(verdict.detail.find("v_"), std::string::npos) << verdict.detail;
+}
+
+/// Mutation coverage: a yield sweep that reuses a verdict across a step
+/// adding a charged defect must diverge from the reference lane.
+TEST(FuzzDefects, OracleCatchesReuseAcrossChargedStep)
+{
+    const auto verdict =
+        testkit::defect_differential(vertical_wire(), phys::SimulationParameters{}, 0xbad5eed,
+                                     1e-12, testkit::DefectFault::reuse_across_charged_step);
+    ASSERT_FALSE(verdict.ok) << "oracle missed a sweep that reuses across charged steps";
+    EXPECT_NE(verdict.detail.find("reference lane"), std::string::npos) << verdict.detail;
 }
 
 }  // namespace

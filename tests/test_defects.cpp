@@ -3,6 +3,7 @@
 #include "io/sqd_reader.hpp"
 #include "io/sqd_writer.hpp"
 #include "layout/apply_gate_library.hpp"
+#include "layout/bestagon_library.hpp"
 #include "layout/defect_map.hpp"
 #include "layout/exact_physical_design.hpp"
 #include "layout/scalable_physical_design.hpp"
@@ -480,6 +481,237 @@ TEST(DefectSweep, TrippedBudgetCancelsWithoutEvaluating)
     EXPECT_TRUE(result.cancelled);
     ASSERT_EQ(result.points.size(), 1U);
     EXPECT_EQ(result.points.front().samples_evaluated, 0U);
+}
+
+/// One library design per distinct name, in library order; \p validated
+/// selects the simulation-validated tiles, otherwise the others.
+std::vector<const GateDesign*> library_designs(bool validated)
+{
+    std::vector<const GateDesign*> designs;
+    for (const auto& impl : layout::BestagonLibrary::instance().all())
+    {
+        const bool seen = std::any_of(designs.begin(), designs.end(), [&](const GateDesign* d) {
+            return d->name == impl.design.name;
+        });
+        if (impl.simulation_validated == validated && !seen)
+        {
+            designs.push_back(&impl.design);
+        }
+    }
+    return designs;
+}
+
+const GateDesign& library_design(const std::string& name)
+{
+    for (const auto& impl : layout::BestagonLibrary::instance().all())
+    {
+        if (impl.design.name == name)
+        {
+            return impl.design;
+        }
+    }
+    throw std::logic_error{"no library design named " + name};
+}
+
+/// The defects of a seeded surface around \p design that block none of its
+/// instance sites (either driver position included), in stream order.
+DefectSurface non_blocking_surface(const GateDesign& design, double charged_fraction,
+                                   std::uint64_t seed)
+{
+    auto sites = design.instance_sites(0);
+    for (const auto& drv : design.drivers)
+    {
+        sites.push_back(drv.near_site);
+    }
+    DefectSampleParams sample;
+    sample.density_per_nm2 = 0.02;
+    sample.charged_fraction = charged_fraction;
+    const auto drawn = sample_defect_surface(sweep_region(design, 5.0), sample, seed);
+    DefectSurface surface;
+    for (const auto& d : drawn.defects())
+    {
+        DefectSurface one;
+        one.add(d);
+        if (!one.blocks_any(sites))
+        {
+            surface.add(d);
+        }
+    }
+    return surface;
+}
+
+/// Per pattern: ground-state configuration, grand potential and degeneracy
+/// are bit-identical.
+void expect_same_details(const OperationalResult& a, const OperationalResult& b)
+{
+    EXPECT_FALSE(a.blocked);
+    EXPECT_FALSE(b.blocked);
+    EXPECT_EQ(a.operational, b.operational);
+    EXPECT_EQ(a.patterns_correct, b.patterns_correct);
+    ASSERT_EQ(a.details.size(), b.details.size());
+    for (std::size_t p = 0; p < a.details.size(); ++p)
+    {
+        EXPECT_EQ(a.details[p].ground_state.config, b.details[p].ground_state.config) << p;
+        EXPECT_EQ(a.details[p].ground_state.grand_potential,
+                  b.details[p].ground_state.grand_potential)
+            << p;
+        EXPECT_EQ(a.details[p].ground_state.degeneracy, b.details[p].ground_state.degeneracy)
+            << p;
+    }
+}
+
+void expect_same_points(const DefectSweepResult& a, const DefectSweepResult& b)
+{
+    ASSERT_EQ(a.points.size(), b.points.size());
+    for (std::size_t k = 0; k < a.points.size(); ++k)
+    {
+        EXPECT_EQ(a.points[k].density_per_nm2, b.points[k].density_per_nm2) << k;
+        EXPECT_EQ(a.points[k].samples_evaluated, b.points[k].samples_evaluated) << k;
+        EXPECT_EQ(a.points[k].operational, b.points[k].operational) << k;
+        EXPECT_EQ(a.points[k].blocked, b.points[k].blocked) << k;
+    }
+}
+
+void expect_same_work(const DefectSweepWork& a, const DefectSweepWork& b)
+{
+    EXPECT_EQ(a.checks_simulated, b.checks_simulated);
+    EXPECT_EQ(a.checks_reused, b.checks_reused);
+    EXPECT_EQ(a.patterns_simulated, b.patterns_simulated);
+}
+
+// The reuse rule's premise: structural defects that block nothing leave the
+// simulated system bit-identical to the defect-free one...
+TEST(DefectSweep, ChargeFreeSurfaceMatchesDefectFreeCheck)
+{
+    const auto& design = library_design("or");
+    const auto surface = non_blocking_surface(design, 0.0, 0x5eed);
+    ASSERT_FALSE(surface.empty());
+    ASSERT_FALSE(surface.has_charged());
+    const SimulationParameters params;
+    expect_same_details(check_operational(design, params, surface),
+                        check_operational(design, params));
+}
+
+// ...and extra such defects leave a charged surface's system bit-identical.
+TEST(DefectSweep, ExtraStructuralDefectsKeepTheChargedSystem)
+{
+    const auto& design = library_design("or");
+    const auto mixed = non_blocking_surface(design, 0.5, 0x5eed);
+    DefectSurface charged_only;
+    for (const auto& d : mixed.defects())
+    {
+        if (d.kind == DefectKind::charged)
+        {
+            charged_only.add(d);
+        }
+    }
+    ASSERT_TRUE(charged_only.has_charged());
+    ASSERT_LT(charged_only.size(), mixed.size());  // structural defects in between
+    const SimulationParameters params;
+    expect_same_details(check_operational(design, params, mixed),
+                        check_operational(design, params, charged_only));
+}
+
+// A tile that fails defect-free fails every sample at density 0 (no
+// defect, so nothing blocks): the pristine verdict is the only simulation.
+TEST(DefectSweep, NonOperationalTileFailsEverySampleAtDensityZero)
+{
+    const auto& design = library_design("xor");
+    ASSERT_FALSE(check_operational(design, SimulationParameters{}).operational);
+    DefectSweepParams sweep;
+    sweep.densities_per_nm2 = {0.0, 0.005};
+    sweep.samples = 6;
+    sweep.num_threads = 1;
+    const auto result = defect_yield_sweep(design, SimulationParameters{}, sweep);
+    for (const auto& point : result.points)
+    {
+        EXPECT_EQ(point.samples_evaluated, 6U);
+        EXPECT_EQ(point.operational, 0U);
+        EXPECT_EQ(point.blocked, 0U);
+    }
+    EXPECT_EQ(result.work.checks_simulated, 1U);
+    EXPECT_EQ(result.work.checks_reused, 6U);
+    EXPECT_EQ(result.work.patterns_simulated, 1ULL << design.num_inputs());
+    expect_same_points(result, testkit::reference_yield_sweep(design, SimulationParameters{}, sweep));
+}
+
+TEST(DefectSweep, ValidatedTilesMatchTheReferenceLane)
+{
+    const auto designs = library_designs(true);
+    ASSERT_EQ(designs.size(), 6U);
+    DefectSweepParams sweep;  // the library densities
+    sweep.samples = 6;
+    for (const auto* design : designs)
+    {
+        SCOPED_TRACE(design->name);
+        sweep.num_threads = 1;
+        const auto serial = defect_yield_sweep(*design, SimulationParameters{}, sweep);
+        sweep.num_threads = 4;
+        const auto threaded = defect_yield_sweep(*design, SimulationParameters{}, sweep);
+        expect_same_points(serial, testkit::reference_yield_sweep(*design, SimulationParameters{},
+                                                                  sweep));
+        expect_same_points(threaded, serial);
+        expect_same_work(threaded.work, serial.work);
+    }
+}
+
+// One fixed sweep's work, pinned: a change to the skip rules or the early
+// exit shows here even when every yield count stays the same.
+TEST(DefectSweep, WorkCountersArePinned)
+{
+    DefectSweepParams sweep;  // the library densities and seed
+    sweep.samples = 25;
+    sweep.num_threads = 1;
+    const auto& design = library_design("or");
+    const auto serial = defect_yield_sweep(design, SimulationParameters{}, sweep);
+    EXPECT_EQ(serial.work.checks_simulated, 26U);
+    EXPECT_EQ(serial.work.checks_reused, 27U);
+    EXPECT_EQ(serial.work.patterns_simulated, 45U);
+    sweep.num_threads = 3;
+    expect_same_work(defect_yield_sweep(design, SimulationParameters{}, sweep).work, serial.work);
+    const auto json = to_json(serial);
+    EXPECT_NE(json.find("\"checks_simulated\": 26"), std::string::npos) << json;
+}
+
+TEST(DefectSweep, OracleCatchesReuseAcrossChargedStep)
+{
+    const auto verdict =
+        testkit::defect_differential(vertical_wire(), SimulationParameters{}, 0xbe57a60eULL, 1e-12,
+                                     testkit::DefectFault::reuse_across_charged_step);
+    EXPECT_FALSE(verdict);
+    EXPECT_NE(verdict.detail.find("reference lane"), std::string::npos) << verdict.detail;
+}
+
+// A stop mid-sweep leaves the samples it cut unevaluated: whatever the cut
+// point, the counts are those of a subset of the full sweep's samples.
+TEST(DefectSweep, CutSweepCountsASubsetOfSamples)
+{
+    const auto& design = library_design("nor");
+    DefectSweepParams sweep;
+    sweep.samples = 25;
+    sweep.num_threads = 2;
+    const auto full = defect_yield_sweep(design, SimulationParameters{}, sweep);
+    ASSERT_FALSE(full.cancelled);
+    for (const std::int64_t ms : {1, 2, 4, 8, 16})
+    {
+        SCOPED_TRACE(ms);
+        const core::RunBudget budget{{}, core::Deadline::in_ms(ms)};
+        const auto cut = defect_yield_sweep(design, SimulationParameters{}, sweep, budget);
+        ASSERT_EQ(cut.points.size(), full.points.size());
+        for (std::size_t k = 0; k < full.points.size(); ++k)
+        {
+            const auto& c = cut.points[k];
+            const auto& f = full.points[k];
+            EXPECT_EQ(c.samples_evaluated, cut.points.front().samples_evaluated);
+            EXPECT_LE(c.operational, f.operational);
+            EXPECT_LE(c.blocked, f.blocked);
+            EXPECT_LE(c.samples_evaluated - c.operational, f.samples_evaluated - f.operational);
+        }
+        if (!cut.cancelled)
+        {
+            expect_same_points(cut, full);
+        }
+    }
 }
 
 // --- testkit oracle ----------------------------------------------------------

@@ -14,9 +14,10 @@
 /// structural, fab-realistic densities) around the tile footprint and
 /// reports the per-density yield: the fraction of surfaces on which the
 /// gate remains operational at the library calibration point (mu = -0.32
-/// eV, eps_r = 5.6, lambda_TF = 5 nm). The curves are survival curves —
-/// monotonically non-increasing in the density — and bit-identical for any
-/// thread count.
+/// eV, eps_r = 5.6, lambda_TF = 5 nm), and the sweep's work: checks
+/// simulated, checks reused from an earlier verdict, patterns simulated.
+/// The curves are survival curves — monotonically non-increasing in the
+/// density — and, like the work counts, bit-identical for any thread count.
 
 #include "layout/bestagon_library.hpp"
 #include "phys/defect_sweep.hpp"
@@ -85,6 +86,10 @@ int main(int argc, char** argv)
                         p.density_per_nm2, 100.0 * p.yield(), p.operational, p.samples_evaluated,
                         p.blocked);
         }
+        std::printf("  work: %llu checks simulated, %llu reused, %llu patterns simulated\n",
+                    static_cast<unsigned long long>(result.work.checks_simulated),
+                    static_cast<unsigned long long>(result.work.checks_reused),
+                    static_cast<unsigned long long>(result.work.patterns_simulated));
         json += phys::to_json(result);
         if (designs.size() > 1 && g + 1 < designs.size())
         {
