@@ -209,31 +209,17 @@ GateLevelLayout decode_layout(const LogicNetwork& network, const std::vector<Nod
 
 /// Encoder + decoder for one aspect ratio — the legacy fresh-per-size path,
 /// kept alive behind ExactPDOptions::incremental = false as the differential
-/// oracle's reference lane. With \p with_groups every clause carries a
-/// per-constraint-group guard literal, enabling unsat-core extraction over
-/// the groups via assumption-based solving.
+/// oracle's reference lane. Infeasibility diagnosis runs on
+/// IncrementalSizeEncoding's guard groups, not here.
 class SizeEncoding
 {
   public:
     SizeEncoding(const LogicNetwork& network, unsigned w, unsigned h,
-                 const sat::BackendSelection& backend = {}, bool with_groups = false,
-                 const phys::DefectSurface* defects = nullptr)
+                 const sat::BackendSelection& backend, const phys::DefectSurface* defects)
         : network_{network}, w_{w}, h_{h}, levels_{node_levels(network)},
-          depths_{node_depths_to_po(network)}, with_groups_{with_groups},
-          // BVE/subsumption resolve clauses across guard groups, which keeps
-          // verdicts sound but inflates assumption cores — so the diagnosis
-          // encoding defaults to the plain solver for tight refuting groups
-          solver_{sat::make_sat_backend(backend, with_groups
-                                                     ? sat::BackendKind::internal
-                                                     : sat::BackendKind::internal_preprocessed)}
+          depths_{node_depths_to_po(network)},
+          solver_{sat::make_sat_backend(backend, sat::BackendKind::internal_preprocessed)}
     {
-        if (with_groups_)
-        {
-            for (auto& g : group_guards_)
-            {
-                g = sat::pos(solver_->new_var());
-            }
-        }
         if (defects != nullptr && !defects->empty())
         {
             blocked_tiles_ = blocked_tiles(w, h, *defects);
@@ -368,7 +354,7 @@ class SizeEncoding
                     options.push_back(sat::pos(var));
                 }
             }
-            sat::add_exactly_one(*solver_, options, guard_of(grp_placement));
+            sat::add_exactly_one(*solver_, options);
         }
 
         // at most one node per tile
@@ -385,7 +371,7 @@ class SizeEncoding
                         here.push_back(it->second);
                     }
                 }
-                sat::add_at_most_one(*solver_, here, guard_of(grp_exclusivity));
+                sat::add_at_most_one(*solver_, here);
             }
         }
 
@@ -455,19 +441,19 @@ class SizeEncoding
                     // "e at t needing a successor" -> exactly one outgoing arc
                     if (const auto pu = lit_of_place(u, t); pu.has_value())
                     {
-                        require_one_of(grp_routing, *pu, outgoing);
+                        require_one_of(*pu, outgoing);
                     }
                     if (const auto wt = lit_of_wire(e, t); wt.has_value())
                     {
-                        require_one_of(grp_routing, *wt, outgoing);
-                        require_one_of(grp_routing, *wt, incoming);
+                        require_one_of(*wt, outgoing);
+                        require_one_of(*wt, incoming);
                     }
                     if (const auto pv = lit_of_place(v, t); pv.has_value())
                     {
-                        require_one_of(grp_routing, *pv, incoming);
+                        require_one_of(*pv, incoming);
                     }
-                    sat::add_at_most_one(*solver_, outgoing, guard_of(grp_routing));
-                    sat::add_at_most_one(*solver_, incoming, guard_of(grp_routing));
+                    sat::add_at_most_one(*solver_, outgoing);
+                    sat::add_at_most_one(*solver_, incoming);
                 }
             }
 
@@ -489,7 +475,7 @@ class SizeEncoding
                 {
                     tail.push_back(*wt);
                 }
-                emit(grp_routing, std::move(tail));
+                solver_->add_clause(std::move(tail));
                 std::vector<Lit> head{~lit};
                 if (const auto pv = lit_of_place(v, to); pv.has_value())
                 {
@@ -499,7 +485,7 @@ class SizeEncoding
                 {
                     head.push_back(*wt);
                 }
-                emit(grp_routing, std::move(head));
+                solver_->add_clause(std::move(head));
             }
         }
 
@@ -515,7 +501,7 @@ class SizeEncoding
             for (const auto& [arc, lits] : by_arc)
             {
                 static_cast<void>(arc);
-                sat::add_at_most_one(*solver_, lits, guard_of(grp_capacity));
+                sat::add_at_most_one(*solver_, lits);
             }
         }
 
@@ -527,7 +513,7 @@ class SizeEncoding
             {
                 if (const auto it = place_.find({v, t}); it != place_.end())
                 {
-                    emit(grp_exclusivity, {~wlit, ~it->second});
+                    solver_->add_clause({~wlit, ~it->second});
                 }
             }
         }
@@ -545,14 +531,14 @@ class SizeEncoding
             {
                 if (is_blocked(k.second))
                 {
-                    emit(grp_defects, {~lit});
+                    solver_->add_clause({~lit});
                 }
             }
             for (const auto& [k, lit] : wire_)
             {
                 if (is_blocked(k.second))
                 {
-                    emit(grp_defects, {~lit});
+                    solver_->add_clause({~lit});
                 }
             }
         }
@@ -578,31 +564,12 @@ class SizeEncoding
         return it->second;
     }
 
-    [[nodiscard]] std::optional<Lit> guard_of(std::size_t group) const
-    {
-        if (!with_groups_)
-        {
-            return std::nullopt;
-        }
-        return group_guards_[group];
-    }
-
-    /// Adds \p clause, weakened by the group's guard when in group mode.
-    void emit(std::size_t group, std::vector<Lit> clause)
-    {
-        if (with_groups_)
-        {
-            clause.push_back(~group_guards_[group]);
-        }
-        solver_->add_clause(std::move(clause));
-    }
-
     /// trigger -> at least one of options (the AMO part is added separately).
-    void require_one_of(std::size_t group, Lit trigger, const std::vector<Lit>& options)
+    void require_one_of(Lit trigger, const std::vector<Lit>& options)
     {
         std::vector<Lit> clause{~trigger};
         clause.insert(clause.end(), options.begin(), options.end());
-        emit(group, std::move(clause));
+        solver_->add_clause(std::move(clause));
     }
 
     const LogicNetwork& network_;
@@ -614,8 +581,6 @@ class SizeEncoding
     std::vector<Edge> edges_;
     std::vector<HexCoord> blocked_tiles_;  ///< defect-blocked tiles of this w x h grid
     bool trivially_unsat_{false};
-    bool with_groups_{false};
-    std::array<Lit, group_names.size()> group_guards_{};
 
     std::unique_ptr<sat::SatBackend> solver_;
     PlaceMap place_;
@@ -1298,7 +1263,7 @@ std::optional<GateLevelLayout> run_fresh_ladder(const LogicNetwork& network,
             ++stats->sizes_tried;
         }
         SizeEncoding encoding{network, size.width, size.height, options.sat_backend,
-                              /*with_groups=*/false, &options.defects};
+                              &options.defects};
         bool budget_hit = false;
         std::uint64_t conflicts = 0;
         sat::Result verdict = sat::Result::unknown;

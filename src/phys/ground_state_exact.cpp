@@ -1,6 +1,7 @@
 #include "phys/ground_state_exact.hpp"
 
 #include "phys/charge_state.hpp"
+#include "phys/exhaustive.hpp"
 
 #include <algorithm>
 #include <cmath>
@@ -200,20 +201,20 @@ std::vector<double> compute_neutral_reach(const SiDBSystem& system)
     return reach;
 }
 
-// The search state is the exhaustive engine's verbatim, plus the
-// precomputed population window and reach table its extra gates read.
+// The search state: the incremental kernel, the running best, and the two
+// pruning tables the gates read. The exhaustive engine runs the same search
+// with tables that never prune (see exhaustive_ground_state below).
 struct SearchState
 {
-    const SiDBSystem* system;
     double mu;
     std::size_t n;
-    ChargeState kernel;
-    double partial_f;
+    ChargeState kernel;  // prefix assignment + local-potential cache
+    double partial_f;    // F of the assigned prefix
     double best_f;
     ChargeConfig best_config;
     std::uint64_t degeneracy;
-    double tolerance;
-    double stability_tolerance;
+    double tolerance;            // degeneracy window (energy_tolerance)
+    double stability_tolerance;  // the leaf check's population threshold
     const PopulationWindow* window;
     const double* reach;  // compute_neutral_reach, row stride n + 1
     const core::RunBudget* run;
@@ -225,9 +226,9 @@ struct SearchState
 
 /// One pass over the assigned prefix [0, index): false when a leaf below can
 /// no longer be population stable. A negative site already above E_F stays
-/// there (v only grows) — the exhaustive engine's viability test. A neutral
-/// site still below E_F with every remaining site charged stays below it —
-/// the neutral-reachability gate.
+/// there (v only grows) — the viability test. A neutral site still below E_F
+/// with every remaining site charged stays below it — the
+/// neutral-reachability gate (a +inf reach table switches it off).
 bool assigned_prefix_viable(const SearchState& s, std::size_t index)
 {
     const double neutral_floor = -(s.stability_tolerance + reach_slack);
@@ -296,7 +297,8 @@ void recurse(SearchState& s, std::size_t index)
         return;
     }
 
-    // optimistic completion bound — identical to the exhaustive engine
+    // optimistic completion bound (monotone: cached v_i only counts assigned
+    // negative charges, and v_i can only grow)
     double bound = s.partial_f;
     for (std::size_t i = index; i < s.n; ++i)
     {
@@ -307,11 +309,10 @@ void recurse(SearchState& s, std::size_t index)
         return;
     }
 
-    // branch: negative first, gated on the window — a forced-neutral site is
-    // never charged, and the population never exceeds the window's maximum.
-    // On surviving branches the commit/unwind sequence replays the
-    // exhaustive engine's floating-point operations exactly; the child's
-    // prefix scan is the exhaustive engine's viability test.
+    // branch: negative first (mu < 0 favors charging), gated on the window —
+    // a forced-neutral site is never charged, and the population never
+    // exceeds the window's maximum. The unwind replays the exact subtractions
+    // of the O(n) commit; the child's prefix scan is the viability test.
     if (s.window->status[index] != site_forced_neutral &&
         s.kernel.num_charges() < s.window->max_charges)
     {
@@ -330,19 +331,18 @@ void recurse(SearchState& s, std::size_t index)
     }
 }
 
-GroundStateResult search(const SiDBSystem& system, double degeneracy_tolerance,
-                         const PopulationWindow& window, const std::vector<double>& reach,
-                         bool seed_from_quench, const core::RunBudget& run)
+GroundStateResult search(const SiDBSystem& system, const PopulationWindow& window,
+                         const std::vector<double>& reach, bool seed_from_quench,
+                         const core::RunBudget& run)
 {
     const std::size_t n = system.size();
     SearchState s{system};
-    s.system = &system;
     s.mu = system.parameters().mu_minus;
     s.n = n;
     s.partial_f = 0.0;
     s.best_f = std::numeric_limits<double>::infinity();
     s.degeneracy = 0;
-    s.tolerance = degeneracy_tolerance;
+    s.tolerance = system.parameters().energy_tolerance;
     s.stability_tolerance = system.parameters().stability_tolerance;
     s.window = &window;
     s.reach = reach.data();
@@ -350,11 +350,11 @@ GroundStateResult search(const SiDBSystem& system, double degeneracy_tolerance,
     s.nodes = 0;
     s.stopped = false;
 
-    // seed with a quenched all-negative start — the exhaustive engine's
-    // seeding verbatim (the quenched seed is population stable, so no gate
-    // excludes it and the recursion re-encounters it). The testkit's
-    // mutant runs skip the seeding: it could silently hand the search the
-    // very ground state the mutant gate prunes.
+    // seed with a quenched all-negative start for a good initial bound (the
+    // quenched seed is population stable, so no gate excludes it and the
+    // recursion re-encounters and counts it). The testkit's mutant runs skip
+    // the seeding: it could silently hand the search the very ground state
+    // the mutant gate prunes.
     if (seed_from_quench)
     {
         ChargeConfig seed(n, 1);
@@ -370,8 +370,8 @@ GroundStateResult search(const SiDBSystem& system, double degeneracy_tolerance,
 
     GroundStateResult result;
     result.config = s.best_config;
-    // fresh evaluation, not the accumulated partial sum — identical configs
-    // therefore report bit-identical energies across the exact engines
+    // fresh evaluation, not the accumulated partial sum: branch/unwind pairs
+    // can leave ulp-level drift in the running best_f
     result.grand_potential =
         s.best_config.empty() ? s.best_f : system.grand_potential(s.best_config);
     result.electrostatic = s.best_config.empty() ? 0.0 : system.electrostatic_energy(s.best_config);
@@ -384,28 +384,31 @@ GroundStateResult search(const SiDBSystem& system, double degeneracy_tolerance,
 
 }  // namespace
 
-GroundStateResult exact_ground_state(const SiDBSystem& system, double degeneracy_tolerance,
-                                     const core::RunBudget& run)
-{
-    return search(system, degeneracy_tolerance, compute_population_window(system),
-                  compute_neutral_reach(system), true, run);
-}
-
 GroundStateResult exact_ground_state(const SiDBSystem& system, const core::RunBudget& run)
 {
-    return exact_ground_state(system, system.parameters().energy_tolerance, run);
+    return search(system, compute_population_window(system), compute_neutral_reach(system), true,
+                  run);
+}
+
+GroundStateResult exhaustive_ground_state(const SiDBSystem& system, const core::RunBudget& run)
+{
+    // the same search with pruning tables that never prune: every site
+    // undecided, the population window [0, n], and a neutral reach of +inf
+    const std::size_t n = system.size();
+    const PopulationWindow open{std::vector<std::uint8_t>(n, site_undecided), 0, n};
+    return search(system, open,
+                  std::vector<double>(n * (n + 1), std::numeric_limits<double>::infinity()), true,
+                  run);
 }
 
 GroundStateResult testkit_exact_ground_state_with_window(const SiDBSystem& system,
-                                                         double degeneracy_tolerance,
                                                          const PopulationWindow& window,
                                                          const core::RunBudget& run)
 {
-    return search(system, degeneracy_tolerance, window, compute_neutral_reach(system), false, run);
+    return search(system, window, compute_neutral_reach(system), false, run);
 }
 
 GroundStateResult testkit_exact_ground_state_with_overreach(const SiDBSystem& system,
-                                                            double degeneracy_tolerance,
                                                             const core::RunBudget& run)
 {
     // shift every row one site left: column k then omits site k's own
@@ -420,8 +423,7 @@ GroundStateResult testkit_exact_ground_state_with_overreach(const SiDBSystem& sy
                   reach.begin() + static_cast<std::ptrdiff_t>((j + 1) * (n + 1)),
                   reach.begin() + static_cast<std::ptrdiff_t>(j * (n + 1)));
     }
-    return search(system, degeneracy_tolerance, compute_population_window(system), reach, false,
-                  run);
+    return search(system, compute_population_window(system), reach, false, run);
 }
 
 }  // namespace bestagon::phys

@@ -2,7 +2,7 @@
 /// \brief Population-bounded exact ground-state search (arXiv 2308.04487,
 ///        "The Need for Speed") — the default exact engine.
 ///
-/// The legacy exhaustive engine prunes only on energy: its optimistic
+/// The exhaustive engine prunes only on energy: its optimistic
 /// completion bound is weak on dense canvases where many unassigned sites
 /// still *look* chargeable, so past ~30 sites whole exponential subtrees
 /// survive the bound. This engine adds *physically informed* pruning derived
@@ -22,10 +22,12 @@
 ///    yielding a window [min_charges, max_charges] on the number of
 ///    electrons of any population-stable configuration.
 ///
-/// The search itself is the exhaustive engine's branch-and-bound verbatim —
-/// same site order, same seeding, same floating-point operation sequence on
-/// every surviving branch, same leaf discipline — with four additional
-/// gates that only ever remove population-UNSTABLE subtrees:
+/// There is one branch-and-bound, with two table settings. This engine runs
+/// it with the computed tables; `exhaustive_ground_state` runs it with
+/// tables that never prune (every site undecided, window [0, n], neutral
+/// reach +inf). Same site order, same seeding, same floating-point operation
+/// sequence on every surviving branch, same leaf discipline; the tables feed
+/// four gates that only ever remove population-UNSTABLE subtrees:
 ///
 ///  1. the negative branch is skipped on forced_neut sites and once
 ///     max_charges is reached;
@@ -43,14 +45,20 @@
 ///     abandoned. Sound because v_j at any leaf is at most the current v_j
 ///     plus reach[j][index]; the slack (1e-10 eV) covers the ulp-level drift
 ///     of the kernel's cached potentials. The gate shares one O(index) pass
-///     over the assigned prefix with the exhaustive engine's viability test
-///     (a negative site already above E_F).
+///     over the assigned prefix with the energy-only viability test (a
+///     negative site already above E_F), which both settings run.
 ///
 /// Configurations in pruned subtrees always fail the leaf validity check,
 /// so the results (ground state, energy, degeneracy) are bit-identical to
-/// `exhaustive_ground_state` — just reached exponentially faster. Gate 4 is
-/// what makes the 32-site crossing tile cheap: ~3.3 M nodes per input
-/// pattern with gates 1-3 alone, ~88 k with it.
+/// `exhaustive_ground_state` — just reached exponentially faster, with at
+/// most as many nodes. Gate 4 is what makes the 32-site crossing tile cheap:
+/// ~3.3 M nodes per input pattern with gates 1-3 alone, ~88 k with it.
+///
+/// Where each property is checked: the gates by the gates-on vs. gates-off
+/// comparison (`ground_state_differential`, which also catches the two
+/// seeded gate faults below); the shared search by the naive 2^n brute
+/// force of `charge_state_differential` (n <= 14); the window by the
+/// soundness tests in test_ground_state_engines.cpp.
 
 #pragma once
 
@@ -88,19 +96,14 @@ inline constexpr std::uint8_t site_forced_neutral = 2;
 
 /// Population-bounded exact ground-state search. Bit-identical results to
 /// `exhaustive_ground_state` (same best configuration, grand potential and
-/// degeneracy count within \p degeneracy_tolerance), proven by the
-/// `ground_state_differential` testkit oracle; completes dense canvases of
-/// 40+ sites that the exhaustive engine cannot finish in the same budget.
+/// degeneracy count within SimulationParameters::energy_tolerance), proven
+/// by the `ground_state_differential` testkit oracle; completes dense
+/// canvases of 40+ sites that the exhaustive engine cannot finish in the
+/// same budget.
 ///
 /// A limited \p run budget is polled sparsely; on stop the best
 /// configuration found so far is returned with complete = false and
 /// cancelled = true. An unlimited budget leaves the search bit-identical.
-[[nodiscard]] GroundStateResult exact_ground_state(const SiDBSystem& system,
-                                                   double degeneracy_tolerance,
-                                                   const core::RunBudget& run = {});
-
-/// Overload reading the degeneracy window from the system's parameters
-/// (SimulationParameters::energy_tolerance), like the exhaustive engine.
 [[nodiscard]] GroundStateResult exact_ground_state(const SiDBSystem& system,
                                                    const core::RunBudget& run = {});
 
@@ -112,8 +115,7 @@ inline constexpr std::uint8_t site_forced_neutral = 2;
 /// prunes valid configurations; the differential oracle proves the fault is
 /// detected. Production code must never call this.
 [[nodiscard]] GroundStateResult
-testkit_exact_ground_state_with_window(const SiDBSystem& system, double degeneracy_tolerance,
-                                       const PopulationWindow& window,
+testkit_exact_ground_state_with_window(const SiDBSystem& system, const PopulationWindow& window,
                                        const core::RunBudget& run = {});
 
 /// **Testkit-only fault hook**: runs the search with a neutral-reach table
@@ -122,7 +124,7 @@ testkit_exact_ground_state_with_window(const SiDBSystem& system, double degenera
 /// `overreach_neutral_prune` mutant; the differential oracle proves the
 /// fault is detected. Production code must never call this.
 [[nodiscard]] GroundStateResult
-testkit_exact_ground_state_with_overreach(const SiDBSystem& system, double degeneracy_tolerance,
+testkit_exact_ground_state_with_overreach(const SiDBSystem& system,
                                           const core::RunBudget& run = {});
 
 }  // namespace bestagon::phys

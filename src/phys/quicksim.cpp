@@ -1,7 +1,7 @@
 #include "phys/quicksim.hpp"
 
-#include "core/thread_pool.hpp"
 #include "phys/charge_state.hpp"
+#include "phys/heuristic_instances.hpp"
 
 #include <algorithm>
 #include <cmath>
@@ -163,67 +163,11 @@ GroundStateResult quicksim_ground_state(const SiDBSystem& system, const QuickSim
         throw std::invalid_argument{"QuickSimParameters: non-positive hop_temperature " +
                                     std::to_string(params.hop_temperature)};
     }
-    const std::size_t n = system.size();
-    GroundStateResult best;
-    best.grand_potential = std::numeric_limits<double>::infinity();
-    best.complete = false;
-    best.degeneracy = 1;
-
-    if (n == 0)
-    {
-        best.grand_potential = 0.0;
-        return best;
-    }
-
     const ChargeConfig base_fill = max_population_fill(system);
-
-    // Index-addressed fan-out with per-instance derived seeds, exactly the
-    // simanneal pattern: the outcome does not depend on the thread count,
-    // and slots are pre-filled with +inf so skipped instances never win.
-    std::vector<std::pair<ChargeConfig, double>> instances(
-        params.num_instances, {ChargeConfig{}, std::numeric_limits<double>::infinity()});
-    core::parallel_for(params.num_threads, params.num_instances, run, [&](std::size_t i) {
-        instances[i] = quicksim_instance(system, params, base_fill, i,
-                                         core::derive_seed(params.seed, i), run);
-    });
-    best.cancelled = run.stopped();
-
-    // serial reduction in instance order (strict '<' keeps the lowest index
-    // among ties)
-    std::size_t best_index = instances.size();
-    for (std::size_t i = 0; i < instances.size(); ++i)
-    {
-        if (instances[i].second < best.grand_potential)
-        {
-            best.grand_potential = instances[i].second;
-            best_index = i;
-        }
-    }
-
-    if (best_index < instances.size())
-    {
-        // distinct tying configurations — a lower bound on the degeneracy
-        const double tol = system.parameters().energy_tolerance;
-        std::vector<const ChargeConfig*> tied;
-        // bestagon-lint: no-poll-ok(post-run degeneracy count over the already-collected instance results; all engine work is done)
-        for (const auto& [config, f] : instances)
-        {
-            if (f <= best.grand_potential + tol)
-            {
-                const bool seen = std::any_of(tied.begin(), tied.end(),
-                                              [&](const ChargeConfig* c) { return *c == config; });
-                if (!seen)
-                {
-                    tied.push_back(&config);
-                }
-            }
-        }
-        best.degeneracy = static_cast<std::uint64_t>(tied.size());
-        best.config = std::move(instances[best_index].first);
-    }
-
-    best.electrostatic = best.config.empty() ? 0.0 : system.electrostatic_energy(best.config);
-    return best;
+    return best_of_instances(system, params.num_instances, params.num_threads, params.seed, run,
+                             [&](std::size_t i, std::uint64_t seed) {
+                                 return quicksim_instance(system, params, base_fill, i, seed, run);
+                             });
 }
 
 }  // namespace bestagon::phys

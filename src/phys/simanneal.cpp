@@ -1,16 +1,12 @@
 #include "phys/simanneal.hpp"
 
-#include "core/thread_pool.hpp"
 #include "phys/charge_state.hpp"
+#include "phys/heuristic_instances.hpp"
 
-#include <algorithm>
-#include <cassert>
 #include <cmath>
-#include <limits>
 #include <random>
 #include <stdexcept>
 #include <string>
-#include <vector>
 
 namespace bestagon::phys
 {
@@ -117,70 +113,10 @@ GroundStateResult simulated_annealing(const SiDBSystem& system, const SimAnnealP
         throw std::invalid_argument{"SimAnnealParameters: non-positive initial_temperature " +
                                     std::to_string(params.initial_temperature)};
     }
-    const std::size_t n = system.size();
-    GroundStateResult best;
-    best.grand_potential = std::numeric_limits<double>::infinity();
-    best.complete = false;
-    best.degeneracy = 1;
-
-    if (n == 0)
-    {
-        best.grand_potential = 0.0;
-        return best;
-    }
-
-    // Every instance is seeded from (params.seed, instance) and runs on its
-    // own stream, so the fan-out is embarrassingly parallel and the outcome
-    // does not depend on the thread count. Slots are pre-filled with +inf so
-    // instances skipped after a stop can never win the reduction below.
-    std::vector<std::pair<ChargeConfig, double>> instances(
-        params.num_instances, {ChargeConfig{}, std::numeric_limits<double>::infinity()});
-    core::parallel_for(params.num_threads, params.num_instances, run, [&](std::size_t i) {
-        instances[i] = anneal_instance(system, params, core::derive_seed(params.seed, i), run);
-    });
-    best.cancelled = run.stopped();
-
-    // serial reduction in instance order (strict '<' keeps the lowest index
-    // among ties, matching the legacy serial loop)
-    std::size_t best_index = instances.size();
-    for (std::size_t i = 0; i < instances.size(); ++i)
-    {
-        if (instances[i].second < best.grand_potential)
-        {
-            best.grand_potential = instances[i].second;
-            best_index = i;
-        }
-    }
-
-    if (best_index < instances.size())
-    {
-        // Degeneracy: the number of *distinct* configurations among the
-        // instances that tie the best energy within energy_tolerance —
-        // duplicates of one minimum count once, so this is a genuine lower
-        // bound on the true degeneracy (it used to be hardcoded to 1).
-        const double tol = system.parameters().energy_tolerance;
-        std::vector<const ChargeConfig*> tied;
-        // bestagon-lint: no-poll-ok(post-run degeneracy count over the already-collected instance results; all engine work is done)
-        for (const auto& [config, f] : instances)
-        {
-            if (f <= best.grand_potential + tol)
-            {
-                const bool seen = std::any_of(tied.begin(), tied.end(),
-                                              [&](const ChargeConfig* c) { return *c == config; });
-                if (!seen)
-                {
-                    tied.push_back(&config);
-                }
-            }
-        }
-        best.degeneracy = static_cast<std::uint64_t>(tied.size());
-        best.config = std::move(instances[best_index].first);
-    }
-
-    // num_instances == 0 (or no instance recorded) leaves best.config empty;
-    // guard the energy evaluation the same way exhaustive_ground_state does.
-    best.electrostatic = best.config.empty() ? 0.0 : system.electrostatic_energy(best.config);
-    return best;
+    return best_of_instances(system, params.num_instances, params.num_threads, params.seed, run,
+                             [&](std::size_t, std::uint64_t seed) {
+                                 return anneal_instance(system, params, seed, run);
+                             });
 }
 
 }  // namespace bestagon::phys

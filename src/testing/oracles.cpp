@@ -415,13 +415,11 @@ OracleVerdict ground_state_differential(const std::vector<phys::SiDBSite>& canva
             }
         }
         window.status[site] = forced;
-        exact = phys::testkit_exact_ground_state_with_window(
-            system, system.parameters().energy_tolerance, window);
+        exact = phys::testkit_exact_ground_state_with_window(system, window);
     }
     else if (fault == GroundStateFault::overreach_neutral_prune)
     {
-        exact = phys::testkit_exact_ground_state_with_overreach(
-            system, system.parameters().energy_tolerance);
+        exact = phys::testkit_exact_ground_state_with_overreach(system);
     }
     else
     {

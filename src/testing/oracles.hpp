@@ -122,12 +122,16 @@ enum class GroundStateFault : std::uint8_t
     overreach_neutral_prune
 };
 
-/// Runs all four ground-state engines on the canvas with the legacy
-/// exhaustive branch-and-bound as the reference:
+/// Runs all four ground-state engines on the canvas with the exhaustive
+/// engine as the reference:
 ///
-///  - the *exact* engine (population-bounded search) must report a complete
-///    search with a bit-identical configuration, grand potential and
-///    degeneracy count — it claims exactness, so any divergence is a bug;
+///  - the *exact* engine must report a complete search with a bit-identical
+///    configuration, grand potential and degeneracy count. Both exact
+///    engines run one branch-and-bound, the exact one with its pruning
+///    tables and the exhaustive one with tables that never prune, so this
+///    is the gates-on vs. gates-off check: it proves the gates (and catches
+///    the two seeded gate faults). The shared search itself is checked by
+///    the naive 2^n brute force of charge_state_differential (n <= 14);
 ///  - each *heuristic* engine (simanneal with \p anneal_params, quicksim
 ///    with the matching instance count/seed/threads) must return a
 ///    physically valid configuration that (a) reports an energy consistent
