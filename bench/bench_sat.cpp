@@ -2,25 +2,21 @@
 /// \brief SAT engine benchmarks (results: BENCH_sat.json).
 ///
 /// Three questions, mirroring DESIGN.md section 11:
-///  1. SatRandom3Sat{Legacy,Arena,Preprocessed}/vars:n — one full solve of a
-///     seeded random 3-SAT instance near the phase transition, per engine:
-///     the frozen pre-arena solver (bench's regression baseline), the
-///     modernized arena solver, and the arena solver behind the
-///     BVE+subsumption preprocessing backend. Same instance per size across
-///     all three.
-///  2. SatPigeonhole{Legacy,Arena,Preprocessed} — PHP(8,7), the
-///     resolution-hard UNSAT workload that stresses learnt-clause reduction
-///     and (for the arena) garbage collection.
-///  3. ExactPhysicalDesign{Internal,Preprocessed} — the full exact P&R flow
-///     on the mapped mux21 benchmark with ExactPDOptions::sat_backend forced
-///     to each kind; this is the production-shaped instance mix (many small
-///     incremental solves) the preprocessor must not regress.
+///  1. SatRandom3Sat{Legacy,Arena}/vars:n — one full solve of a seeded
+///     random 3-SAT instance near the phase transition, per engine: the
+///     frozen pre-arena solver (bench's regression baseline) and the
+///     modernized arena solver. Same instance per size for both.
+///  2. SatPigeonhole{Legacy,Arena} — PHP(8,7), the resolution-hard UNSAT
+///     workload that stresses learnt-clause reduction and (for the arena)
+///     garbage collection.
+///  3. ExactPhysicalDesignInternal — the full exact P&R flow on the mapped
+///     mux21 benchmark: the production-shaped instance mix (many small
+///     incremental solves on one persistent solver).
 
 #include "layout/exact_physical_design.hpp"
 #include "logic/benchmarks.hpp"
 #include "logic/rewriting.hpp"
 #include "logic/tech_mapping.hpp"
-#include "sat/backend.hpp"
 #include "sat/solver.hpp"
 #include "testing/legacy_solver.hpp"
 
@@ -123,23 +119,6 @@ void solve_arena(benchmark::State& state, int num_vars,
     }
 }
 
-void solve_preprocessed(benchmark::State& state, int num_vars,
-                        const std::vector<std::vector<sat::Lit>>& clauses)
-{
-    for (auto _ : state)
-    {
-        state.PauseTiming();
-        // force the pass even below the adaptive size threshold — this lane
-        // measures what preprocessing itself costs and saves
-        sat::PreprocessorOptions options;
-        options.backend_min_clauses = 0;
-        sat::PreprocessingBackend backend{options};
-        load(backend, num_vars, clauses);
-        state.ResumeTiming();
-        benchmark::DoNotOptimize(backend.solve());
-    }
-}
-
 void BM_SatRandom3SatLegacy(benchmark::State& state)
 {
     const int n = static_cast<int>(state.range(0));
@@ -154,13 +133,6 @@ void BM_SatRandom3SatArena(benchmark::State& state)
 }
 BENCHMARK(BM_SatRandom3SatArena)->Arg(40)->Arg(80)->Arg(120)->ArgName("vars");
 
-void BM_SatRandom3SatPreprocessed(benchmark::State& state)
-{
-    const int n = static_cast<int>(state.range(0));
-    solve_preprocessed(state, n, random_3sat(n));
-}
-BENCHMARK(BM_SatRandom3SatPreprocessed)->Arg(40)->Arg(80)->Arg(120)->ArgName("vars");
-
 void BM_SatPigeonholeLegacy(benchmark::State& state)
 {
     solve_legacy(state, 8 * 7, php(8, 7));
@@ -173,12 +145,6 @@ void BM_SatPigeonholeArena(benchmark::State& state)
 }
 BENCHMARK(BM_SatPigeonholeArena)->Unit(benchmark::kMillisecond);
 
-void BM_SatPigeonholePreprocessed(benchmark::State& state)
-{
-    solve_preprocessed(state, 8 * 7, php(8, 7));
-}
-BENCHMARK(BM_SatPigeonholePreprocessed)->Unit(benchmark::kMillisecond);
-
 const logic::LogicNetwork& mapped_mux21()
 {
     static const logic::LogicNetwork net = [] {
@@ -189,31 +155,18 @@ const logic::LogicNetwork& mapped_mux21()
     return net;
 }
 
-void exact_pd_with(benchmark::State& state, sat::BackendKind kind)
+void BM_ExactPhysicalDesignInternal(benchmark::State& state)
 {
     const auto& net = mapped_mux21();
-    layout::ExactPDOptions options;
-    options.sat_backend.kind = kind;
     bool placed = false;
     for (auto _ : state)
     {
-        const auto result = layout::exact_physical_design(net, options);
+        const auto result = layout::exact_physical_design(net);
         placed = result.has_value();
         benchmark::DoNotOptimize(result);
     }
     state.counters["placed"] = placed ? 1.0 : 0.0;
 }
-
-void BM_ExactPhysicalDesignInternal(benchmark::State& state)
-{
-    exact_pd_with(state, sat::BackendKind::internal);
-}
 BENCHMARK(BM_ExactPhysicalDesignInternal)->Unit(benchmark::kMillisecond);
-
-void BM_ExactPhysicalDesignPreprocessed(benchmark::State& state)
-{
-    exact_pd_with(state, sat::BackendKind::internal_preprocessed);
-}
-BENCHMARK(BM_ExactPhysicalDesignPreprocessed)->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -100,9 +100,8 @@ EquivalenceResult check_equivalence(const LogicNetwork& spec, const LogicNetwork
         return EquivalenceResult::unknown;
     }
 
-    // equivalence checking defaults to the plain internal solver; the miter
-    // is shallow and BESTAGON_SAT_BACKEND can still re-route it
-    const auto backend = sat::make_sat_backend({}, sat::BackendKind::internal);
+    // the in-tree solver, unless BESTAGON_SAT_BACKEND re-routes the miter
+    const auto backend = sat::make_sat_backend();
     auto& solver = *backend;
     solver.set_stop_token(run.token);
     solver.set_deadline(run.deadline);

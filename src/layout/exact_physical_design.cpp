@@ -207,6 +207,15 @@ GateLevelLayout decode_layout(const LogicNetwork& network, const std::vector<Nod
     return layout;
 }
 
+/// Verdict of one aspect ratio, with the layout when satisfiable and the
+/// conflicts that size cost.
+struct Outcome
+{
+    sat::Result result{sat::Result::unknown};
+    std::optional<GateLevelLayout> layout{};
+    std::uint64_t conflicts{0};
+};
+
 /// Encoder + decoder for one aspect ratio — the legacy fresh-per-size path,
 /// kept alive behind ExactPDOptions::incremental = false as the differential
 /// oracle's reference lane. Infeasibility diagnosis runs on
@@ -215,10 +224,9 @@ class SizeEncoding
 {
   public:
     SizeEncoding(const LogicNetwork& network, unsigned w, unsigned h,
-                 const sat::BackendSelection& backend, const phys::DefectSurface* defects)
+                 const phys::DefectSurface* defects)
         : network_{network}, w_{w}, h_{h}, levels_{node_levels(network)},
-          depths_{node_depths_to_po(network)},
-          solver_{sat::make_sat_backend(backend, sat::BackendKind::internal_preprocessed)}
+          depths_{node_depths_to_po(network)}, solver_{sat::make_sat_backend()}
     {
         if (defects != nullptr && !defects->empty())
         {
@@ -227,22 +235,17 @@ class SizeEncoding
         build();
     }
 
-    [[nodiscard]] bool trivially_unsat() const noexcept { return trivially_unsat_; }
-
-    /// Returns a decoded layout if satisfiable within the budget; the raw
-    /// verdict lands in \p verdict. With \p certify, every UNSAT verdict is
-    /// DRAT-certified by the independent checker and recorded in \p stats.
-    std::optional<GateLevelLayout> solve(std::int64_t conflict_budget, std::uint64_t* conflicts,
-                                         bool* budget_hit, bool certify, ExactPDStats* stats,
-                                         const core::RunBudget& run, sat::Result* verdict)
+    /// Solves this aspect ratio on its own solver. With \p certify, every
+    /// UNSAT verdict is DRAT-certified by the independent checker and
+    /// recorded in \p stats.
+    Outcome solve(std::int64_t conflict_budget, bool certify, const core::RunBudget& run,
+                  ExactPDStats* stats)
     {
+        Outcome out;
         if (trivially_unsat_)
         {
-            if (verdict != nullptr)
-            {
-                *verdict = sat::Result::unsatisfiable;
-            }
-            return std::nullopt;
+            out.result = sat::Result::unsatisfiable;
+            return out;
         }
         sat::MemoryProofTracer tracer;
         const bool can_certify = certify && solver_->supports_proof_tracing();
@@ -253,21 +256,10 @@ class SizeEncoding
         solver_->set_conflict_budget(conflict_budget);
         solver_->set_time_budget_ms(-1);
         solver_->set_run_budget(run);
-        const auto result = solver_->solve();
+        out.result = solver_->solve();
         solver_->set_proof_tracer(nullptr);
-        if (verdict != nullptr)
-        {
-            *verdict = result;
-        }
-        if (conflicts != nullptr)
-        {
-            *conflicts += solver_->stats().conflicts;
-        }
-        if (result == sat::Result::unknown && budget_hit != nullptr)
-        {
-            *budget_hit = true;
-        }
-        if (can_certify && stats != nullptr && result == sat::Result::unsatisfiable)
+        out.conflicts = solver_->stats().conflicts;
+        if (can_certify && stats != nullptr && out.result == sat::Result::unsatisfiable)
         {
             const auto check =
                 sat::check_drat_proof(sat::to_cnf(solver_->root_clauses()), tracer.proof());
@@ -280,11 +272,12 @@ class SizeEncoding
                 ++stats->proof_failures;
             }
         }
-        if (result != sat::Result::satisfiable)
+        if (out.result == sat::Result::satisfiable)
         {
-            return std::nullopt;
+            out.layout =
+                decode_layout(network_, nodes_, edges_, place_, wire_, arc_, *solver_, w_, h_);
         }
-        return decode_layout(network_, nodes_, edges_, place_, wire_, arc_, *solver_, w_, h_);
+        return out;
     }
 
   private:
@@ -619,9 +612,7 @@ class IncrementalSizeEncoding
           max_w_{std::max(1U, options.max_width)}, max_h_{std::max(1U, options.max_height)},
           with_groups_{with_groups},
           leak_stale_activation_{options.testkit_leak_stale_activation},
-          // preprocessing would re-simplify (or rebuild) around the growing
-          // formula; the plain arena solver keeps every solve incremental
-          solver_{sat::make_sat_backend(options.sat_backend, sat::BackendKind::internal)}
+          solver_{sat::make_sat_backend()}
     {
         for (const auto id : network_.topological_order())
         {
@@ -645,19 +636,19 @@ class IncrementalSizeEncoding
         {
             for (auto& g : group_guards_)
             {
-                g = fresh_frozen_lit();
+                g = sat::pos(solver_->new_var());
             }
         }
         // symbolic size: implication chains "width <= c -> width <= c+1"
         wle_.reserve(max_w_ + 1);
         for (unsigned c = 0; c <= max_w_; ++c)
         {
-            wle_.push_back(fresh_frozen_lit());
+            wle_.push_back(sat::pos(solver_->new_var()));
         }
         hle_.reserve(max_h_ + 1);
         for (unsigned c = 0; c <= max_h_; ++c)
         {
-            hle_.push_back(fresh_frozen_lit());
+            hle_.push_back(sat::pos(solver_->new_var()));
         }
         for (unsigned c = 0; c < max_w_; ++c)
         {
@@ -680,13 +671,6 @@ class IncrementalSizeEncoding
             solver_->set_proof_tracer(&tracer_);
         }
     }
-
-    struct Outcome
-    {
-        sat::Result result{sat::Result::unknown};
-        std::optional<GateLevelLayout> layout{};
-        std::uint64_t conflicts{0};
-    };
 
     /// Solves one aspect ratio on the persistent solver.
     Outcome solve_size(AspectRatio size, std::int64_t conflict_budget,
@@ -793,13 +777,6 @@ class IncrementalSizeEncoding
     }
 
   private:
-    [[nodiscard]] Lit fresh_frozen_lit()
-    {
-        const auto v = solver_->new_var();
-        solver_->freeze(v);
-        return sat::pos(v);
-    }
-
     /// Union-grid row range of node \p v at grid height \p H — the fresh
     /// per-size range of the largest size, which contains every smaller
     /// size's range (out-of-size rows are cut off by the bound clauses).
@@ -967,7 +944,7 @@ class IncrementalSizeEncoding
         // grown domain must offer the new options), so each generation
         // re-emits them behind a fresh activation literal; older generations
         // stay in the formula but are never assumed again.
-        gen_.push_back(fresh_frozen_lit());
+        gen_.push_back(sat::pos(solver_->new_var()));
         for (const auto v : nodes_)
         {
             emit_gen(grp_placement, node_place_[v]);  // place v somewhere
@@ -1165,14 +1142,14 @@ class IncrementalSizeEncoding
     std::map<std::pair<HexCoord, HexCoord>, sat::IncrementalAtMostOne> cap_amo_;
 };
 
-/// Walks the ladder on one persistent IncrementalSizeEncoding.
-std::optional<GateLevelLayout> run_incremental_ladder(const LogicNetwork& network,
-                                                      const ExactPDOptions& options,
-                                                      const core::RunBudget& budget,
-                                                      AspectRatioLadder& ladder,
-                                                      ExactPDStats* stats)
+/// Walks the ladder: polls the stop token and the deadline before every
+/// size, solves it with \p solve_size (AspectRatio -> Outcome), records its
+/// verdict in \p stats, and returns the first layout. Refuted sizes prune
+/// the rest of the ladder.
+template <typename SolveSize>
+std::optional<GateLevelLayout> walk_ladder(AspectRatioLadder& ladder, const core::RunBudget& budget,
+                                           ExactPDStats* stats, SolveSize&& solve_size)
 {
-    IncrementalSizeEncoding encoding{network, options, /*with_groups=*/false};
     AspectRatio size;
     while (ladder.next(size))
     {
@@ -1198,11 +1175,10 @@ std::optional<GateLevelLayout> run_incremental_ladder(const LogicNetwork& networ
         {
             ++stats->sizes_tried;
         }
-        auto outcome = encoding.solve_size(size, options.conflicts_per_size, budget, stats);
+        Outcome outcome = solve_size(size);
         if (stats != nullptr)
         {
             stats->total_conflicts += outcome.conflicts;
-            stats->grid_generations = encoding.generations();
             stats->size_verdicts.push_back({size, outcome.result});
             if (outcome.result == sat::Result::unknown)
             {
@@ -1223,75 +1199,6 @@ std::optional<GateLevelLayout> run_incremental_ladder(const LogicNetwork& networ
             return std::nullopt;
         }
         if (outcome.result == sat::Result::unsatisfiable)
-        {
-            ladder.record_refuted(size);
-        }
-    }
-    return std::nullopt;
-}
-
-/// Walks the ladder with a fresh encoding and solver per size — the
-/// pre-incremental reference lane for the differential oracle.
-std::optional<GateLevelLayout> run_fresh_ladder(const LogicNetwork& network,
-                                                const ExactPDOptions& options,
-                                                const core::RunBudget& budget,
-                                                AspectRatioLadder& ladder, ExactPDStats* stats)
-{
-    AspectRatio size;
-    while (ladder.next(size))
-    {
-        if (budget.token.stop_requested())
-        {
-            if (stats != nullptr)
-            {
-                stats->cancelled = true;
-                stats->message = "cancelled";
-            }
-            return std::nullopt;
-        }
-        if (budget.deadline.remaining_ms() <= 0)
-        {
-            if (stats != nullptr)
-            {
-                stats->budget_exhausted = true;
-                stats->message = "time budget exhausted";
-            }
-            return std::nullopt;
-        }
-        if (stats != nullptr)
-        {
-            ++stats->sizes_tried;
-        }
-        SizeEncoding encoding{network, size.width, size.height, options.sat_backend,
-                              &options.defects};
-        bool budget_hit = false;
-        std::uint64_t conflicts = 0;
-        sat::Result verdict = sat::Result::unknown;
-        auto layout = encoding.solve(options.conflicts_per_size, &conflicts, &budget_hit,
-                                     options.certify_unsat, stats, budget, &verdict);
-        if (stats != nullptr)
-        {
-            stats->total_conflicts += conflicts;
-            stats->size_verdicts.push_back({size, verdict});
-            if (budget_hit)
-            {
-                stats->budget_exhausted = true;
-            }
-            if (budget.token.stop_requested())
-            {
-                stats->cancelled = true;
-                stats->message = "cancelled";
-            }
-        }
-        if (layout.has_value())
-        {
-            return layout;
-        }
-        if (budget.token.stop_requested())
-        {
-            return std::nullopt;
-        }
-        if (verdict == sat::Result::unsatisfiable)
         {
             ladder.record_refuted(size);
         }
@@ -1330,9 +1237,28 @@ std::optional<GateLevelLayout> exact_physical_design(const logic::LogicNetwork& 
     const auto budget = options.run.clipped_ms(options.time_budget_ms);
     AspectRatioLadder ladder{w_min, options.max_width, h_min, options.max_height};
 
-    auto layout = options.incremental
-                      ? run_incremental_ladder(network, options, budget, ladder, stats)
-                      : run_fresh_ladder(network, options, budget, ladder, stats);
+    std::optional<GateLevelLayout> layout;
+    if (options.incremental)
+    {
+        // one persistent solver: each size is a solve under assumptions
+        IncrementalSizeEncoding encoding{network, options, /*with_groups=*/false};
+        layout = walk_ladder(ladder, budget, stats, [&](AspectRatio size) {
+            auto outcome = encoding.solve_size(size, options.conflicts_per_size, budget, stats);
+            if (stats != nullptr)
+            {
+                stats->grid_generations = encoding.generations();
+            }
+            return outcome;
+        });
+    }
+    else
+    {
+        // the reference lane: a fresh encoding and solver per size
+        layout = walk_ladder(ladder, budget, stats, [&](AspectRatio size) {
+            SizeEncoding encoding{network, size.width, size.height, &options.defects};
+            return encoding.solve(options.conflicts_per_size, options.certify_unsat, budget, stats);
+        });
+    }
     if (stats != nullptr)
     {
         stats->sizes_skipped = static_cast<unsigned>(ladder.skipped());

@@ -36,9 +36,8 @@ std::optional<LogicNetwork> synthesize_with_r_steps(const TruthTable& f, unsigne
     const unsigned num_patterns = 1U << n;
     const unsigned total = n + r;
 
-    // exact synthesis defaults to the plain internal solver (the per-r
-    // instances are small); BESTAGON_SAT_BACKEND can re-route it
-    const auto backend = sat::make_sat_backend({}, sat::BackendKind::internal);
+    // the in-tree solver, unless BESTAGON_SAT_BACKEND re-routes it
+    const auto backend = sat::make_sat_backend();
     auto& solver = *backend;
     sat::MemoryProofTracer tracer;
     const bool can_certify = certify_unsat && solver.supports_proof_tracing();

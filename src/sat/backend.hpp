@@ -1,31 +1,26 @@
 /// \file backend.hpp
-/// \brief Pluggable SAT backends: the abstract solver interface, the
-///        preprocessing wrapper, and backend selection.
+/// \brief Pluggable SAT backends: the abstract solver interface and backend
+///        selection.
 ///
 /// Every SAT consumer in the code base (exact physical design, exact
 /// synthesis, equivalence checking, the encodings library, the differential
 /// oracles) programs against SatBackend instead of a concrete solver class.
-/// Three implementations exist:
+/// Two implementations exist:
 ///
 ///   * sat::Solver (solver.hpp) — the in-tree CDCL solver;
-///   * sat::PreprocessingBackend (this header) — wraps any inner backend
-///     with SatELite-style preprocessing (preprocessor.hpp), reconstructing
-///     models and threading DRAT proofs through the simplification;
 ///   * sat::IpasirBackend (ipasir_backend.hpp) — any IPASIR-conforming
 ///     shared library loaded at runtime.
 ///
 /// Selection is programmatic (BackendSelection) or via the environment
-/// variable BESTAGON_SAT_BACKEND ("internal", "preprocess", or
+/// variable BESTAGON_SAT_BACKEND ("internal" or
 /// "ipasir:/path/to/libsolver.so"); see make_sat_backend().
 
 #pragma once
 
 #include "core/run_control.hpp"
-#include "sat/preprocessor.hpp"
 #include "sat/sat_types.hpp"
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -123,111 +118,14 @@ class SatBackend
     /// Attaches (or detaches, with nullptr) a DRAT proof tracer. No-op on
     /// backends without proof support.
     virtual void set_proof_tracer(ProofTracer* tracer) { static_cast<void>(tracer); }
-
-    /// Protects a variable from preprocessing elimination. Assumption
-    /// variables passed to solve() are frozen automatically; freeze() is for
-    /// variables whose model values are read without being assumed. No-op on
-    /// backends that never eliminate variables.
-    virtual void freeze(Var v) { static_cast<void>(v); }
-};
-
-/// Wraps an inner backend with CNF preprocessing. Clauses are collected
-/// verbatim (they form root_clauses(), the certification target); the first
-/// solve() runs the preprocessor with the call's assumption variables frozen,
-/// loads the simplified formula into a fresh inner backend, and deducts the
-/// preprocessing wall time from the solve's time budget. SAT models are
-/// reconstructed onto the original variables; UNSAT proofs contain the
-/// preprocessor's derivations first, so they check against the original
-/// formula end-to-end.
-///
-/// Incremental contract: growing the formula after the first solve() does
-/// NOT schedule a re-preprocess. New variables and clauses that avoid
-/// eliminated variables stream straight into the live inner solver, so
-/// learned clauses and heuristic state persist across a monotone ladder of
-/// solve(assumptions) calls (see DESIGN.md §14). Only a clause touching an
-/// eliminated variable, a freeze() of an eliminated variable, an assumption
-/// over one, or late tracer attachment forces a rebuild — rebuild_count()
-/// exposes how often that happened so tests can pin the contract.
-class PreprocessingBackend final : public SatBackend
-{
-  public:
-    using InnerFactory = std::function<std::unique_ptr<SatBackend>()>;
-
-    /// \p inner_factory defaults to constructing the in-tree sat::Solver.
-    explicit PreprocessingBackend(PreprocessorOptions options = {}, InnerFactory inner_factory = {});
-
-    Var new_var() override;
-    [[nodiscard]] int num_vars() const override { return num_vars_; }
-    bool add_clause(std::vector<Lit> lits) override;
-    using SatBackend::add_clause;
-    Result solve(const std::vector<Lit>& assumptions) override;
-    using SatBackend::solve;
-    [[nodiscard]] bool model_value(Var v) const override;
-    using SatBackend::model_value;
-    [[nodiscard]] const std::vector<Lit>& final_conflict() const override;
-    [[nodiscard]] std::vector<std::vector<Lit>> root_clauses() const override;
-    [[nodiscard]] const SolverStats& stats() const override;
-
-    void set_conflict_budget(std::int64_t budget) override { conflict_budget_ = budget; }
-    void set_time_budget_ms(std::int64_t ms) override { time_budget_ms_ = ms; }
-    void set_stop_token(core::StopToken token) override { stop_token_ = std::move(token); }
-    void set_deadline(core::Deadline deadline) override { deadline_ = deadline; }
-    void set_time_check_stride(std::int64_t stride) override { time_check_stride_ = stride; }
-
-    [[nodiscard]] bool supports_proof_tracing() const override;
-    void set_proof_tracer(ProofTracer* tracer) override;
-    void freeze(Var v) override;
-
-    /// Statistics of the most recent preprocessing run.
-    [[nodiscard]] const PreprocessorStats& preprocessor_stats() const noexcept { return prep_stats_; }
-
-    /// Number of preprocess-and-reload cycles so far. Monotone incremental
-    /// use (grow, solve, grow, solve, ...) must keep this at 1.
-    [[nodiscard]] std::size_t rebuild_count() const noexcept { return rebuilds_; }
-
-    /// Test-only fault hooks for the differential oracle (see oracles.cpp):
-    /// return raw inner models without reconstruction / strip the
-    /// preprocessor's proof steps while keeping the transformation.
-    void testkit_skip_model_reconstruction(bool on) noexcept { skip_reconstruction_ = on; }
-    void testkit_drop_preprocessor_proof_steps(bool on) noexcept { drop_prep_proof_ = on; }
-
-  private:
-    void rebuild(const std::vector<Lit>& assumptions, const core::Deadline& deadline);
-
-    PreprocessorOptions options_{};
-    InnerFactory factory_{};
-    std::vector<std::vector<Lit>> original_clauses_;
-    std::vector<Var> user_frozen_;
-    int num_vars_{0};
-    bool dirty_{false};
-    bool formula_unsat_{false};
-    std::size_t rebuilds_{0};
-
-    std::unique_ptr<Preprocessor> prep_;
-    std::unique_ptr<SatBackend> inner_;
-    PreprocessorStats prep_stats_{};
-    std::vector<LBool> model_;
-    std::vector<Lit> empty_core_{};
-    SolverStats no_stats_{};
-
-    ProofTracer* proof_{nullptr};
-    std::int64_t conflict_budget_{-1};
-    std::int64_t time_budget_ms_{-1};
-    core::StopToken stop_token_{};
-    core::Deadline deadline_{};
-    std::int64_t time_check_stride_{256};
-
-    bool skip_reconstruction_{false};
-    bool drop_prep_proof_{false};
 };
 
 /// Which concrete backend to construct.
 enum class BackendKind : std::uint8_t
 {
-    automatic,              ///< environment override, else the caller's default
-    internal,               ///< the in-tree CDCL solver
-    internal_preprocessed,  ///< in-tree solver behind PreprocessingBackend
-    ipasir                  ///< external IPASIR shared library
+    automatic,  ///< environment override, else the in-tree solver
+    internal,   ///< the in-tree CDCL solver
+    ipasir      ///< external IPASIR shared library
 };
 
 struct BackendSelection
@@ -235,18 +133,18 @@ struct BackendSelection
     BackendKind kind{BackendKind::automatic};
     /// Shared-library path for BackendKind::ipasir.
     std::string ipasir_library{};
-    /// Preprocessor tuning for BackendKind::internal_preprocessed.
-    PreprocessorOptions preprocess{};
 };
 
-/// Reads BESTAGON_SAT_BACKEND. Accepted values: "internal", "preprocess",
-/// "ipasir:<path>". Unset or unrecognized values return \p fallback.
+/// Reads BESTAGON_SAT_BACKEND. Accepted values: "internal" and
+/// "ipasir:<path>". Unset returns \p fallback; any other value throws
+/// std::invalid_argument naming the accepted values, so a mistyped or
+/// retired selection never silently runs a different solver.
 [[nodiscard]] BackendSelection backend_selection_from_env(BackendSelection fallback = {});
 
 /// Constructs a backend. BackendKind::automatic resolves to the environment
-/// selection if BESTAGON_SAT_BACKEND is set, else to \p default_kind.
-/// Throws std::runtime_error when an IPASIR library cannot be loaded.
-[[nodiscard]] std::unique_ptr<SatBackend> make_sat_backend(const BackendSelection& selection = {},
-                                                           BackendKind default_kind = BackendKind::internal);
+/// selection if BESTAGON_SAT_BACKEND is set, else to the in-tree solver.
+/// Throws std::invalid_argument on an unknown BESTAGON_SAT_BACKEND value and
+/// std::runtime_error when an IPASIR library cannot be loaded.
+[[nodiscard]] std::unique_ptr<SatBackend> make_sat_backend(const BackendSelection& selection = {});
 
 }  // namespace bestagon::sat

@@ -88,10 +88,8 @@ void IncrementalAtMostOne::add(SatBackend& solver, Lit lit)
 
 void IncrementalAtMostOne::extend_ladder(SatBackend& solver, std::size_t i)
 {
-    // s_i == "one of lits_[0..i] is true"; frozen so a preprocessing backend
-    // cannot eliminate it before later adds reference it
+    // s_i == "one of lits_[0..i] is true"
     const Lit s = pos(solver.new_var());
-    solver.freeze(s.var());
     emit_guarded(solver, guard_, {~lits_[i], s});
     if (!ladder_.empty())
     {

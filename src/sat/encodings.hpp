@@ -42,8 +42,7 @@ void add_exactly_one(SatBackend& solver, std::span<const Lit> lits,
 /// Small sets use pairwise clauses; past the pairwise threshold the encoding
 /// switches to an open-ended sequential ladder WITHOUT the closing cap
 /// clause of add_at_most_one(), so each further literal costs one auxiliary
-/// variable and three clauses. Auxiliary variables are frozen — later growth
-/// references them, so a preprocessing backend must not eliminate them.
+/// variable and three clauses.
 ///
 /// \p guard has the same semantics as in add_at_most_one(): the constraint
 /// is only enforced while guard is assumed (or implied) true.

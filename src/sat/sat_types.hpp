@@ -3,8 +3,8 @@
 ///
 /// Variables, literals, three-valued assignments, solve results and solver
 /// statistics live here so that the backend interface (backend.hpp), the
-/// concrete CDCL solver (solver.hpp), the clause arena (clause_allocator.hpp)
-/// and the preprocessor (preprocessor.hpp) can all be included independently.
+/// concrete CDCL solver (solver.hpp) and the clause arena (clause_allocator.hpp)
+/// can all be included independently.
 
 #pragma once
 

@@ -13,8 +13,7 @@
 /// garbage collector once the wasted fraction crosses a threshold.
 ///
 /// The solver implements the SatBackend interface (backend.hpp) so every
-/// consumer can swap it for a preprocessing wrapper or an external IPASIR
-/// library.
+/// consumer can swap it for an external IPASIR library.
 
 #pragma once
 

@@ -4,6 +4,7 @@
 #include "logic/tech_mapping.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <set>
 #include <string>
@@ -184,6 +185,62 @@ std::vector<phys::SiDBSite> random_sidb_canvas(Rng& rng, const CanvasOptions& op
             static_cast<std::int32_t>(rng.below(2))});
     }
     return {sites.begin(), sites.end()};
+}
+
+std::optional<CalibratedCanvas> near_threshold_canvas(Rng& rng, const CanvasOptions& options)
+{
+    auto canvas = random_sidb_canvas(rng, options);
+    const std::size_t n = canvas.size();
+    constexpr double target = -1e-13;  // the level to reach, in eV (see the header)
+    constexpr double max_shift = 0.1;  // eV from the default mu_minus
+    phys::SimulationParameters params;
+    const double start_mu = params.mu_minus;
+    for (unsigned round = 0; round < 16; ++round)
+    {
+        // brute-force ground state under the current mu_minus
+        const phys::SiDBSystem system{canvas, params};
+        phys::ChargeConfig best;
+        double best_f = std::numeric_limits<double>::infinity();
+        for (std::uint64_t bits = 0; bits < (1ULL << n); ++bits)
+        {
+            phys::ChargeConfig config(n, 0);
+            for (std::size_t s = 0; s < n; ++s)
+            {
+                config[s] = static_cast<std::uint8_t>((bits >> s) & 1ULL);
+            }
+            if (system.physically_valid(config))
+            {
+                if (const double f = system.grand_potential(config); f < best_f)
+                {
+                    best_f = f;
+                    best = std::move(config);
+                }
+            }
+        }
+        // its highest charged level; shifting mu_minus moves every level alike
+        double top = -std::numeric_limits<double>::infinity();
+        for (std::size_t s = 0; s < n; ++s)
+        {
+            if (!best.empty() && best[s] != 0)
+            {
+                top = std::max(top, params.mu_minus + system.local_potential(best, s));
+            }
+        }
+        if (top == -std::numeric_limits<double>::infinity())
+        {
+            return std::nullopt;
+        }
+        if (std::abs(top - target) < 1e-12)
+        {
+            return CalibratedCanvas{std::move(canvas), params};
+        }
+        params.mu_minus += target - top;
+        if (std::abs(params.mu_minus - start_mu) > max_shift)
+        {
+            return std::nullopt;
+        }
+    }
+    return std::nullopt;
 }
 
 }  // namespace bestagon::testkit

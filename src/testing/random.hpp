@@ -13,6 +13,7 @@
 #include "logic/network.hpp"
 #include "logic/truth_table.hpp"
 #include "phys/lattice.hpp"
+#include "phys/model.hpp"
 #include "sat/dimacs.hpp"
 
 #include <cstdint>
@@ -113,5 +114,30 @@ struct CanvasOptions
 /// Random set of unique SiDB sites on the H-Si(100)-2x1 surface.
 [[nodiscard]] std::vector<phys::SiDBSite> random_sidb_canvas(Rng& rng,
                                                              const CanvasOptions& options = {});
+
+/// A canvas with the simulation parameters it was calibrated for.
+struct CalibratedCanvas
+{
+    std::vector<phys::SiDBSite> canvas;
+    phys::SimulationParameters params;
+};
+
+/// Random canvas whose mu_minus is shifted, starting from the default
+/// parameters, until the brute-force ground state holds a charged site whose level
+/// mu_minus + v_j sits 1e-13 eV below E_F, well within stability_tolerance.
+/// That ground state is valid only up to the threshold, and it is degenerate
+/// with the same configuration with the site neutral whenever that one is
+/// valid too; a viability threshold even slightly too tight prunes it. The
+/// gap is below the oracles' default 1e-12 energy agreement, so either
+/// member of the pair compares equal, yet far above the rounding noise of a
+/// local-potential sum, so every engine agrees on which side of E_F the site
+/// lies. Returns nullopt when the ground state has no charge, when mu_minus
+/// would move more than 0.1 eV from the default (far shifts leave one or two
+/// electrons, where single-electron hops tie exactly and the kernel-vs-naive
+/// anneal trajectory check of charge_state_differential turns on rounding),
+/// or when the shift does not settle within 16 rounds (a shift can change
+/// which configuration is the ground state).
+[[nodiscard]] std::optional<CalibratedCanvas> near_threshold_canvas(
+    Rng& rng, const CanvasOptions& options = {});
 
 }  // namespace bestagon::testkit

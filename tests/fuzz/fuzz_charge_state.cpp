@@ -60,6 +60,39 @@ TEST(FuzzChargeState, SparseCanvasesAtTheSecondCalibrationPoint)
     }
 }
 
+/// Canvases whose mu_minus is calibrated (within 0.1 eV of the default) so
+/// that the ground state holds a charged site 1e-13 eV below E_F. A
+/// viability threshold in the shared branch-and-bound that is even a few meV
+/// too tight prunes that ground state, and the naive brute force then finds
+/// a lower energy or a larger degeneracy (the state is degenerate with the
+/// same configuration with that site neutral). Random canvases at a fixed
+/// mu_minus rarely hold such a site.
+TEST(FuzzChargeState, GroundStatesWithAChargedSiteJustBelowTheFermiLevel)
+{
+    const auto budget = testkit::fuzz_budget(0xcace'0003, 40);
+    testkit::CanvasOptions options;
+    options.min_dots = 3;
+    options.max_dots = 10;
+    std::uint64_t calibrated = 0;
+    for (std::uint64_t i = 0; i < budget.iterations; ++i)
+    {
+        const auto seed = testkit::case_seed(budget.base_seed, i);
+        testkit::Rng rng{seed};
+        const auto instance = testkit::near_threshold_canvas(rng, options);
+        if (!instance.has_value())
+        {
+            continue;
+        }
+        ++calibrated;
+        const auto verdict = testkit::charge_state_differential(
+            instance->canvas, instance->params, anneal_for_fuzzing(seed), seed);
+        ASSERT_TRUE(verdict.ok)
+            << verdict.detail << "\nmu_minus = " << instance->params.mu_minus << '\n'
+            << testkit::reproducer("charge-state-threshold", budget.base_seed, i);
+    }
+    EXPECT_GE(calibrated * 4, budget.iterations) << "too few canvases calibrated";
+}
+
 /// Mutation coverage: a commit that updates the configuration but skips the
 /// cache update must be detected by the very next cache comparison.
 TEST(FuzzChargeState, OracleCatchesSkippedCacheUpdate)

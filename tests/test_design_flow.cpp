@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <string>
+
 namespace
 {
 
@@ -97,6 +100,33 @@ TEST(DesignFlow, FallbackReportsEngine)
     ASSERT_TRUE(result.layout.has_value());
     EXPECT_EQ(result.engine_used, "scalable");
     EXPECT_TRUE(result.success());
+}
+
+TEST(DesignFlow, UnknownSatBackendFailsTheStageInsteadOfSwitchingSolver)
+{
+    // an unknown value (here the retired "preprocess") must fail the stage
+    // that needs a solver, not crash or silently run another solver
+    const char* old = std::getenv("BESTAGON_SAT_BACKEND");
+    const std::string saved = old != nullptr ? old : "";
+    ::setenv("BESTAGON_SAT_BACKEND", "preprocess", 1);
+    const auto result = core::run_design_flow(logic::find_benchmark("xor2")->build());
+    if (old != nullptr)
+    {
+        ::setenv("BESTAGON_SAT_BACKEND", saved.c_str(), 1);
+    }
+    else
+    {
+        ::unsetenv("BESTAGON_SAT_BACKEND");
+    }
+
+    EXPECT_FALSE(result.success());
+    EXPECT_FALSE(result.layout.has_value());
+    const auto* pd = result.diagnostics.find("physical_design");
+    ASSERT_NE(pd, nullptr);
+    EXPECT_EQ(pd->status, core::StageStatus::failed);
+    EXPECT_NE(pd->detail.find("BESTAGON_SAT_BACKEND=\"preprocess\""), std::string::npos)
+        << pd->detail;
+    EXPECT_NE(pd->detail.find("accepted values"), std::string::npos) << pd->detail;
 }
 
 class FlowBenchmark : public ::testing::TestWithParam<std::string>

@@ -1,8 +1,8 @@
 /// \file test_sat_backend.cpp
 /// \brief Tests for the pluggable solver backends: environment-based
-///        selection, the preprocessing backend's budget discipline, and the
-///        IPASIR facade loading the repository's own solver as a shared
-///        library (a self-test of both sides of the C interface).
+///        selection and the IPASIR facade loading the repository's own
+///        solver as a shared library (a self-test of both sides of the C
+///        interface).
 
 #include "sat/backend.hpp"
 #include "sat/ipasir_backend.hpp"
@@ -12,6 +12,7 @@
 
 #include <chrono>
 #include <cstdlib>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -114,33 +115,38 @@ TEST(SatBackend, EnvSelectionParsesAllForms)
         EXPECT_EQ(sat::backend_selection_from_env({}).kind, BackendKind::internal);
     }
     {
-        const ScopedEnv env{"BESTAGON_SAT_BACKEND", "preprocess"};
-        EXPECT_EQ(sat::backend_selection_from_env({}).kind, BackendKind::internal_preprocessed);
-    }
-    {
         const ScopedEnv env{"BESTAGON_SAT_BACKEND", "ipasir:/some/lib.so"};
         const auto selection = sat::backend_selection_from_env({});
         EXPECT_EQ(selection.kind, BackendKind::ipasir);
         EXPECT_EQ(selection.ipasir_library, "/some/lib.so");
     }
     {
-        // unknown values leave the fallback untouched
+        // an unknown value must not silently select some other solver
         const ScopedEnv env{"BESTAGON_SAT_BACKEND", "bogus"};
-        sat::BackendSelection fallback;
-        fallback.kind = BackendKind::internal_preprocessed;
-        EXPECT_EQ(sat::backend_selection_from_env(fallback).kind,
-                  BackendKind::internal_preprocessed);
+        try
+        {
+            static_cast<void>(sat::backend_selection_from_env({}));
+            ADD_FAILURE() << "unknown BESTAGON_SAT_BACKEND value was accepted";
+        }
+        catch (const std::invalid_argument& e)
+        {
+            const std::string what = e.what();
+            EXPECT_NE(what.find("bogus"), std::string::npos) << what;
+            EXPECT_NE(what.find("\"internal\""), std::string::npos) << what;
+            EXPECT_NE(what.find("\"ipasir:<path>\""), std::string::npos) << what;
+        }
     }
 }
 
 TEST(SatBackend, FactoryResolvesDefaultKind)
 {
     const ScopedEnv env{"BESTAGON_SAT_BACKEND", nullptr};
-    // the default kind applies when the selection is automatic and no env
-    // override is present; both resulting backends must agree on a verdict
-    for (const auto kind : {BackendKind::internal, BackendKind::internal_preprocessed})
+    // an automatic selection with no env override is the in-tree solver, the
+    // same backend an explicit internal selection builds
+    for (const auto kind : {BackendKind::automatic, BackendKind::internal})
     {
-        const auto backend = sat::make_sat_backend({}, kind);
+        const auto backend = sat::make_sat_backend({.kind = kind});
+        EXPECT_NE(dynamic_cast<const sat::Solver*>(backend.get()), nullptr);
         const Var a = backend->new_var();
         const Var b = backend->new_var();
         backend->add_clause(pos(a), pos(b));
@@ -149,24 +155,6 @@ TEST(SatBackend, FactoryResolvesDefaultKind)
         EXPECT_FALSE(backend->model_value(a));
         EXPECT_TRUE(backend->model_value(b));
     }
-}
-
-TEST(SatBackend, PreprocessingBackendHonorsTinyTimeBudget)
-{
-    // the PHP(12,11) latch workload through the NEW delegation path: the
-    // preprocessor spends part of the budget, the inner solve inherits only
-    // the remainder, and the per-decision countdown must keep polling the
-    // clock across restarts — a 10 ms budget must not turn into seconds
-    sat::PreprocessingBackend backend{};
-    add_php(backend, 12, 11);
-    backend.set_time_budget_ms(10);
-    backend.set_time_check_stride(16);
-
-    const auto start = now_ms();
-    const auto result = backend.solve();
-    const auto wall = now_ms() - start;
-    EXPECT_EQ(result, sat::Result::unknown);
-    EXPECT_LT(wall, 2000) << "time budget latch failed through the preprocessing backend";
 }
 
 TEST(SatBackend, IpasirFacadeSelfTest)

@@ -35,6 +35,7 @@
 #include <optional>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -325,9 +326,19 @@ int main(int argc, char** argv)
     }
     // the table is defined by the in-tree solver; another backend could
     // return different (equally small) chains
-    if (sat::backend_selection_from_env({.kind = sat::BackendKind::internal}).kind != sat::BackendKind::internal)
+    try
     {
-        std::cerr << "gen_npn_db: unset BESTAGON_SAT_BACKEND; the table is defined by the internal solver\n";
+        if (sat::backend_selection_from_env({.kind = sat::BackendKind::internal}).kind !=
+            sat::BackendKind::internal)
+        {
+            std::cerr << "gen_npn_db: unset BESTAGON_SAT_BACKEND; the table is defined by the "
+                         "internal solver\n";
+            return 2;
+        }
+    }
+    catch (const std::invalid_argument& e)
+    {
+        std::cerr << "gen_npn_db: " << e.what() << '\n';
         return 2;
     }
 
